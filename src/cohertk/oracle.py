@@ -58,6 +58,10 @@ SHARD_SIZE = 100_000
 
 _MONOTONICITY_TOL = 1e-8
 
+#: Most points a 4-D counterexample grid may have (19**4 at the default
+#: step); checked before the grid is allocated.
+_MAX_GRID_POINTS = 10 ** 6
+
 
 # ---------------------------------------------------------------------------
 # Monte-Carlo volume estimation
@@ -258,10 +262,11 @@ def coordinate_plane_predicate(spectrum, kind: str, slack: float = 1e-10):
 # exact majorization polytope volume (rational arithmetic)
 
 
-def _solve_square_exact(rows, rhs):
-    """Solve an n x n Fraction system; None when singular."""
-    n = len(rhs)
-    aug = [list(rows[i]) + [rhs[i]] for i in range(n)]
+def _solve_square_exact(rows):
+    """Solve the n x n Fraction system a . x = b over its n (a, b) rows;
+    None when singular."""
+    n = len(rows)
+    aug = [list(a) + [b] for a, b in rows]
     for col in range(n):
         pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
         if pivot is None:
@@ -277,150 +282,97 @@ def _solve_square_exact(rows, rhs):
 
 
 def _halfspaces(lam):
-    """Constraint list a . x <= b over x = (mu_1 .. mu_{d-1}) for the
-    polytope {mu nonincreasing, sum mu = total, partial sums of mu
+    """Constraints a . x <= b (index -> (a, b)) over x = (mu_1 .. mu_{d-1})
+    for the polytope {mu nonincreasing, sum mu = total, partial sums of mu
     bounded by those of lam}."""
     d = len(lam)
     n = d - 1
     partial = list(itertools.accumulate(lam))
     cons = []
-    zero = [Fraction(0)] * n
     for k in range(n - 1):  # x_{k+1} <= x_k
-        a = zero.copy()
+        a = [Fraction(0)] * n
         a[k + 1], a[k] = Fraction(1), Fraction(-1)
         cons.append((a, Fraction(0)))
     # x_{n-1} >= mu_d = total - sum(x):  -(sum x) - x_{n-1} <= -total
     a = [Fraction(-1)] * n
     a[n - 1] -= 1
     cons.append((a, -partial[-1]))
-    # mu_d >= 0: sum x <= total
-    cons.append(([Fraction(1)] * n, partial[-1]))
-    for k in range(1, d):  # partial sums
+    # partial sums; the last one, mu_d >= lam_d, also gives mu_d >= 0
+    for k in range(1, d):
         a = [Fraction(1)] * k + [Fraction(0)] * (n - k)
         cons.append((a, partial[k - 1]))
-    return cons
-
-
-def _dot(a, x):
-    return sum(ai * xi for ai, xi in zip(a, x))
+    return dict(enumerate(cons))
 
 
 def _enumerate_vertices(cons, n):
-    vertices = []
-    seen = set()
-    for subset in itertools.combinations(range(len(cons)), n):
-        rows = [cons[i][0] for i in subset]
-        rhs = [cons[i][1] for i in subset]
-        point = _solve_square_exact(rows, rhs)
-        if point is None or point in seen:
+    """Vertices of {x : a . x <= b for (a, b) in cons.values()}, each
+    mapped to the set of constraint indices tight there."""
+    vertices = {}
+    for subset in itertools.combinations(cons, n):
+        point = _solve_square_exact([cons[i] for i in subset])
+        if point is None or point in vertices:
             continue
-        if all(_dot(a, point) <= b for a, b in cons):
-            seen.add(point)
-            vertices.append(point)
+        tight = set(subset)
+        for i, (a, b) in cons.items():
+            if i not in tight:
+                slack = b - sum(ai * xi for ai, xi in zip(a, point) if ai)
+                if slack < 0:
+                    break
+                if slack == 0:
+                    tight.add(i)
+        else:
+            vertices[point] = frozenset(tight)
     return vertices
 
 
-def _angular_order(points):
-    """Order 2-D Fraction points counterclockwise around their mean
-    (exact comparisons; correct for vertices of a convex polygon)."""
-    m = len(points)
-    cx = sum(p[0] for p in points) / m
-    cy = sum(p[1] for p in points) / m
-
-    def half(p):
-        dy = p[1] - cy
-        dx = p[0] - cx
-        return 0 if (dy > 0 or (dy == 0 and dx > 0)) else 1
-
-    import functools
-
-    def compare(p, q):
-        hp, hq = half(p), half(q)
-        if hp != hq:
-            return -1 if hp < hq else 1
-        cross = (p[0] - cx) * (q[1] - cy) - (p[1] - cy) * (q[0] - cx)
-        if cross > 0:
-            return -1
-        if cross < 0:
-            return 1
-        return 0
-
-    return sorted(points, key=functools.cmp_to_key(compare))
-
-
-def _polygon_area(points):
-    ordered = _angular_order(points)
+def _facet_volume_sum(cons, vertices, n):
+    """Exact n-volume of a full-dimensional polytope {a . x <= b} from
+    its constraints (index -> (a, b)) and vertices (point -> indices of
+    the constraints tight there), by Lasserre's recursion
+    vol_n(P) = (1/n) sum_F (b / |a_j|) vol_{n-1}(F with x_j eliminated)
+    over the facets F = {a . x = b}: the maximal proper vertex sets of
+    single constraints, each taken once.  The facets of F lie on the
+    facets that F meets in n - 1 or more vertices."""
+    if n == 1:
+        return max(p[0] for p in vertices) - min(p[0] for p in vertices)
+    faces = {}
+    for i in cons:
+        face = frozenset(p for p, tight in vertices.items() if i in tight)
+        if n <= len(face) < len(vertices):
+            faces.setdefault(face, i)
+    facets = [(face, i) for face, i in faces.items()
+              if not any(face < other for other in faces)]
     total = Fraction(0)
-    m = len(ordered)
-    for i in range(m):
-        x0, y0 = ordered[i]
-        x1, y1 = ordered[(i + 1) % m]
-        total += x0 * y1 - x1 * y0
-    return abs(total) / 2
-
-
-def _polytope_volume_3d(cons, vertices):
-    m = len(vertices)
-    centroid = tuple(sum(v[i] for v in vertices) / m for i in range(3))
-    total = Fraction(0)
-    seen_planes = set()
-    for a, b in cons:
-        scale = next((c for c in a if c != 0), None)
-        if scale is None:
-            continue
-        key = tuple(c / scale for c in a) + (b / scale,)
-        if key in seen_planes:
-            continue
-        seen_planes.add(key)
-        contact = [v for v in vertices if _dot(a, v) == b]
-        if len(contact) < 3:
-            continue
-        v0 = contact[0]
-        u1 = tuple(contact[1][i] - v0[i] for i in range(3))
-        u2 = None
-        for w in contact[2:]:
-            cand = tuple(w[i] - v0[i] for i in range(3))
-            cross = (u1[1] * cand[2] - u1[2] * cand[1],
-                     u1[2] * cand[0] - u1[0] * cand[2],
-                     u1[0] * cand[1] - u1[1] * cand[0])
-            if any(c != 0 for c in cross):
-                u2 = cand
-                break
-        if u2 is None:
-            continue
-        # linear chart of the facet plane; convex angular order survives
-        chart = []
-        for v in contact:
-            dv = tuple(v[i] - v0[i] for i in range(3))
-            chart.append((_dot(u1, dv), _dot(u2, dv)))
-        order = _angular_order(chart)
-        index = {c: v for c, v in zip(chart, contact)}
-        ring = [index[c] for c in order]
-        for i in range(1, len(ring) - 1):
-            e0 = tuple(ring[0][j] - centroid[j] for j in range(3))
-            e1 = tuple(ring[i][j] - centroid[j] for j in range(3))
-            e2 = tuple(ring[i + 1][j] - centroid[j] for j in range(3))
-            det = (e0[0] * (e1[1] * e2[2] - e1[2] * e2[1])
-                   - e0[1] * (e1[0] * e2[2] - e1[2] * e2[0])
-                   + e0[2] * (e1[0] * e2[1] - e1[1] * e2[0]))
-            total += abs(det)
-    return total / 6
+    for face, i in facets:
+        a, b = cons[i]
+        j = next(k for k, c in enumerate(a) if c != 0)
+        sub = {}
+        for other, k in facets:
+            if k != i and len(face & other) >= n - 1:
+                row, rhs = cons[k]
+                f = row[j] / a[j]
+                sub[k] = ([c - f * ai if f else c for m, (c, ai)
+                           in enumerate(zip(row, a)) if m != j], rhs - f * b)
+        sub_vertices = {p[:j] + p[j + 1:]: vertices[p] for p in face}
+        total += b / abs(a[j]) * _facet_volume_sum(sub, sub_vertices, n - 1)
+    return total / n
 
 
 def exact_polytope_volume(spectrum) -> float:
     """Euclidean volume of the majorization polytope of a sorted
-    spectrum, by exact rational vertex enumeration.
+    spectrum, by exact rational vertex enumeration and one facet
+    recursion (Lasserre 1983) in every dimension.
 
     The polytope is {mu nonincreasing, sum mu = sum lam, partial sums
     of mu <= those of lam}, measured inside the simplex hyperplane
     (metric factor sqrt(d) over the first d-1 coordinates).  Zero
     entries are kept — the ambient dimension is part of the input.
-    Supports lengths up to 4; length 1 returns 1.0 by convention.
+    Supports lengths up to 6; length 1 returns 1.0 by convention.
     """
     lam = [Fraction(x) for x in np.asarray(spectrum, dtype=float)]
     d = len(lam)
-    if d > 4:
-        raise ValueError("exact volumes are implemented for lengths <= 4")
+    if d > 6:
+        raise ValueError("exact volumes are implemented for lengths <= 6")
     if any(lam[i] < lam[i + 1] for i in range(d - 1)) or lam[-1] < 0:
         raise ValueError("spectrum must be sorted nonincreasing and nonnegative")
     if abs(float(sum(lam)) - 1.0) > 1e-8:
@@ -432,14 +384,7 @@ def exact_polytope_volume(spectrum) -> float:
     vertices = _enumerate_vertices(cons, n)
     if len(vertices) <= n:
         return 0.0
-    if n == 1:
-        xs = [v[0] for v in vertices]
-        coord = max(xs) - min(xs)
-    elif n == 2:
-        coord = _polygon_area(vertices)
-    else:
-        coord = _polytope_volume_3d(cons, vertices)
-    return float(coord) * math.sqrt(d)
+    return float(_facet_volume_sum(cons, vertices, n)) * math.sqrt(d)
 
 
 @dataclass(frozen=True)
@@ -459,6 +404,8 @@ def formula_identity_check(count: int = 100, dims=(2, 3, 4),
     dimension, compare sup-volume times the signed permutation sum
     against :func:`exact_polytope_volume` and report the largest
     absolute difference."""
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
     rng = np.random.default_rng(seed)
     worst = 0.0
     for d in dims:
@@ -523,6 +470,8 @@ def monotonicity_suite(monotone: str, operation_class: str, trials: int,
     The report carries the largest observed increase and the count of
     increases above 1e-8.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     operation_class = operation_class.upper()
     rng = np.random.default_rng(seed)
     worst = -math.inf
@@ -586,6 +535,8 @@ def lemma1_suite(trials: int, seed: int = DEFAULT_SEED) -> Lemma1Report:
     """Random SIO/IC channel branches on random states of 1-3 qubits:
     reports the largest change in nonzero-amplitude count across
     branches (never positive)."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     rng = np.random.default_rng(seed)
     shapes = [(2,), (2, 2), (2, 2, 2)]
     worst = -(2 ** 31)
@@ -758,8 +709,8 @@ def b3_b4_counterexamples(step: float = 0.05) -> CounterexampleReport:
     """Certified failures of averaging and convexity for the qubit
     volume monotones.
 
-    Scans grids with axes in [0.05, 0.95] (default step 0.05,
-    restricted to valid Bloch vectors) for
+    Scans grids with axes in [0.05, 0.95] (default step 0.05, at most
+    10**6 points, restricted to valid Bloch vectors) for
 
     * selective-measurement violations over the damping channels
       (t, z, p, gamma), under two readings: the unweighted branch sum
@@ -779,8 +730,15 @@ def b3_b4_counterexamples(step: float = 0.05) -> CounterexampleReport:
     under a normalized and an as-printed convention; no equality with
     the printed constants is asserted.
     """
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"step must be positive and finite, got {step}")
+    lo, hi = 0.05, 0.95 + 1e-9
+    per_axis = math.ceil(min((hi - lo) / step, _MAX_GRID_POINTS))
+    if per_axis ** 4 > _MAX_GRID_POINTS:
+        raise ValueError(f"step {step} is too small: the grid would exceed "
+                         f"{_MAX_GRID_POINTS} points")
     margin = 1e-3
-    axis = np.arange(0.05, 0.95 + 1e-9, step)
+    axis = np.arange(lo, hi, step)
     t, z, p, g = np.meshgrid(axis, axis, axis, axis, indexing="ij")
     t, z, p, g = (a.ravel() for a in (t, z, p, g))
     valid = t * t + z * z < 1.0 - 1e-9

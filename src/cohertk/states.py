@@ -83,6 +83,8 @@ class PureState:
             raise ValueError(
                 f"expected {size} amplitudes for dims {dims}, got {vec.size}")
         norm2 = float(np.vdot(vec, vec).real)
+        if not math.isfinite(norm2):
+            raise ValueError("amplitudes must be finite")
         if abs(norm2 - 1.0) > 2 * NORM_ATOL + NORM_ATOL**2:
             raise ValueError(
                 f"state not normalized: |psi|^2 = {norm2:.12g} "
@@ -124,7 +126,7 @@ class QubitBloch:
 
     def __post_init__(self):
         r2 = self.r_x**2 + self.r_y**2 + self.r_z**2
-        if r2 > 1.0 + 1e-10:
+        if not r2 <= 1.0 + 1e-10:
             raise ValueError(f"Bloch vector outside the ball: |r|^2 = {r2:.12g}")
 
     @property
@@ -156,7 +158,7 @@ def sorted_spectrum(values: Iterable, atol: float = 1e-8) -> np.ndarray:
     if np.any(vec < -atol):
         raise ValueError("spectrum has a negative entry")
     total = float(vec.sum())
-    if abs(total - 1.0) > atol:
+    if not abs(total - 1.0) <= atol:
         raise ValueError(f"spectrum sums to {total:.12g}, expected 1")
     vec = np.clip(vec, 0.0, None)
     vec = np.sort(vec)[::-1].copy()

@@ -415,6 +415,26 @@ def test_bad_seed_environment_exits_1(tmp_path, capsys, monkeypatch):
     assert "COHERTK_SEED" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "--suite", "lemma1", "--trials", "0"],
+    ["check", "--suite", "monotonicity", "--monotone", "sio-Ca",
+     "--class", "SIO", "--trials", "-5"],
+    ["check", "--suite", "identity", "--count", "0"],
+    ["counterexample", "--step", "0"],
+    ["counterexample", "--step", "-1"],
+    ["monotone", "--kind", "source", "--class", "SIO", "--state", "NAN"],
+])
+def test_out_of_range_input_exits_1(tmp_path, capsys, argv):
+    # dumps would write NaN as null, so the file is written by hand
+    nan_bloch = tmp_path / "nan.json"
+    nan_bloch.write_text('{"bloch": [NaN, 0, 0.2]}', encoding="utf-8")
+    argv = [str(nan_bloch) if arg == "NAN" else arg for arg in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("cohertk: error:") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # subprocess-level reproducibility
 

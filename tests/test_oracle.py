@@ -1,6 +1,7 @@
 """Tests for the exact and Monte-Carlo volume oracles and property suites."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from numpy.testing import assert_allclose
 
 from cohertk.feasibility import pio_feasible_mask, sio_feasible_mask
 from cohertk.monotones import (
+    _permutation_sum_fraction,
     permutation_sum,
     planar_example_volumes,
     qubit_pio_Ca,
@@ -50,11 +52,28 @@ def test_exact_polytope_volume_pinned_values():
 
 def test_exact_polytope_volume_input_validation():
     with pytest.raises(ValueError, match="lengths"):
-        exact_polytope_volume(np.full(5, 0.2))
+        exact_polytope_volume(np.full(7, 1 / 7))
     with pytest.raises(ValueError, match="sorted nonincreasing"):
         exact_polytope_volume([0.4, 0.6])
     with pytest.raises(ValueError, match="sum to 1"):
         exact_polytope_volume([0.5, 0.3])
+
+
+@pytest.mark.parametrize("sixteenths", [
+    (6, 4, 3, 2, 1), (8, 4, 2, 1, 1), (8, 4, 4, 0, 0),
+    (5, 4, 3, 2, 1, 1), (4, 4, 4, 2, 1, 1), (8, 2, 2, 2, 2, 0),
+])
+def test_exact_polytope_volume_lengths_5_and_6(sixteenths):
+    # dyadic spectra are exact as floats, so the oracle sees the same
+    # rational polytope as the exact permutation sum (ambient reading,
+    # zeros kept)
+    lam = [Fraction(k, 16) for k in sixteenths]
+    d = len(lam)
+    expected = sup_source_volume(d) * float(
+        _permutation_sum_fraction(lam, strip=False))
+    assert_allclose(exact_polytope_volume([float(x) for x in lam]),
+                    expected, rtol=0, atol=1e-12)
+    assert exact_polytope_volume(np.full(d, 1 / d)) == 0.0
 
 
 def test_exact_polytope_keeps_ambient_zeros():
@@ -74,6 +93,16 @@ def test_closed_form_matches_exact_volume():
     lam = [0.41, 0.33, 0.26]
     assert_allclose(sup_source_volume(3) * permutation_sum(lam),
                     exact_polytope_volume(lam), atol=1e-12)
+
+
+def test_closed_form_matches_exact_volume_at_lengths_5_and_6():
+    report = formula_identity_check(count=2, dims=(5, 6))
+    assert report.max_abs_difference <= 1e-9
+
+
+def test_formula_identity_check_rejects_zero_count():
+    with pytest.raises(ValueError, match="count"):
+        formula_identity_check(count=0)
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +265,20 @@ def test_monotonicity_suite_validates_claims():
         monotonicity_suite("source-closed", "IU", 10)
 
 
+@pytest.mark.parametrize("trials", [0, -5])
+def test_monotonicity_suite_rejects_no_trials(trials):
+    with pytest.raises(ValueError, match="trials"):
+        monotonicity_suite("sio-Ca", "SIO", trials)
+    with pytest.raises(ValueError, match="trials"):
+        monotonicity_suite("source-closed", "IC", trials)
+
+
+@pytest.mark.parametrize("trials", [0, -5])
+def test_lemma1_suite_rejects_no_trials(trials):
+    with pytest.raises(ValueError, match="trials"):
+        lemma1_suite(trials)
+
+
 def test_lemma1_suite_never_increases_terms():
     report = lemma1_suite(trials=300, seed=44)
     assert report.violations == 0
@@ -249,6 +292,18 @@ def test_lemma1_suite_never_increases_terms():
 @pytest.fixture(scope="module")
 def counterexample_report():
     return b3_b4_counterexamples(step=0.05)
+
+
+@pytest.mark.parametrize("step", [0.0, -1.0, math.nan, math.inf])
+def test_counterexample_rejects_bad_step(step):
+    with pytest.raises(ValueError, match="positive and finite"):
+        b3_b4_counterexamples(step=step)
+
+
+def test_counterexample_bounds_grid_before_allocating():
+    # 0.02 would give 46**4 (about 4.5e6) points
+    with pytest.raises(ValueError, match="too small"):
+        b3_b4_counterexamples(step=0.02)
 
 
 def test_counterexample_report_structure(counterexample_report):

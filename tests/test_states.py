@@ -37,6 +37,12 @@ def test_pure_state_rejects_unnormalized_input():
         PureState((2,), [1.0, 1.0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_pure_state_rejects_non_finite_amplitudes(bad):
+    with pytest.raises(ValueError, match="finite"):
+        PureState((2,), [bad, 1.0])
+
+
 def test_pure_state_validates_shape():
     with pytest.raises(ValueError, match="nonempty"):
         PureState((), [1.0])
@@ -64,6 +70,14 @@ def test_qubit_bloch_ball_membership():
         QubitBloch(0.8, 0.0, 0.7)
 
 
+@pytest.mark.parametrize("triple", [(math.nan, 0.0, 0.2),
+                                    (0.0, math.inf, 0.0),
+                                    (0.0, 0.0, -math.inf)])
+def test_qubit_bloch_rejects_non_finite_components(triple):
+    with pytest.raises(ValueError, match="outside the ball"):
+        QubitBloch(*triple)
+
+
 def test_qubit_bloch_helpers():
     r = QubitBloch(0.3, 0.4, 0.5)
     assert_allclose(r.transverse_sq, 0.25)
@@ -85,6 +99,14 @@ def test_sorted_spectrum_canonicalizes():
         sorted_spectrum([0.5, 0.4])
     with pytest.raises(ValueError, match="empty"):
         sorted_spectrum([])
+
+
+@pytest.mark.parametrize("values", [[math.nan, 0.5, 0.5],
+                                    [math.inf, 0.5],
+                                    [math.inf, -math.inf, 1.0]])
+def test_sorted_spectrum_rejects_non_finite_entries(values):
+    with pytest.raises(ValueError):
+        sorted_spectrum(values)
 
 
 def test_dephased_spectrum_sorts_populations():
