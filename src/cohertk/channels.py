@@ -22,7 +22,6 @@ returns the strongest label that applies.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -50,7 +49,8 @@ COMPLETENESS_TOL = 1e-9
 #: Branches with probability below this are pruned from ensembles.
 BRANCH_PRUNE = 1e-12
 
-_CLASS_ORDER = {"IU": 0, "PIO": 1, "SIO": 2, "IC": 3}
+_CLASSES = ("IU", "PIO", "SIO", "IC")
+_CLASS_ORDER = {tag: order for order, tag in enumerate(_CLASSES)}
 
 
 @dataclass(frozen=True)
@@ -161,13 +161,43 @@ def _coerce_kraus(ops, dim=None):
     return tuple(kraus)
 
 
-def _completeness_defect(kraus) -> float:
-    dim = kraus[0].dim
-    gram = np.zeros((dim, dim), dtype=complex)
-    for op in kraus:
-        mat = op.matrix()
-        gram += mat.conj().T @ mat
-    return float(np.linalg.norm(gram - np.eye(dim)))
+def _kraus_stack(kraus) -> np.ndarray:
+    """One Kraus set as a ``(1, n_kraus, dim, dim)`` array."""
+    return np.stack([op.matrix() for op in kraus])[None]
+
+
+def _check_kraus(kraus, class_tag: str = "IC") -> np.ndarray:
+    """Strongest class (an index into ``_CLASSES``) of each Kraus set in
+    a ``(count, n_kraus, dim, dim)`` stack.  Raises ``ValueError`` unless
+    every set is complete (Frobenius defect below ``1e-9``), column
+    sparse, and at least as strong as ``class_tag``."""
+    n_kraus, dim = kraus.shape[1], kraus.shape[-1]
+    gram = np.einsum("cnij,cnik->cjk", kraus.conj(), kraus)
+    defect = np.linalg.norm(gram - np.eye(dim), axis=(1, 2))
+    complete = defect < COMPLETENESS_TOL
+    if not complete.all():
+        raise ValueError("completeness violated: |sum K^dag K - I| = "
+                         f"{defect[~complete][0]:.3g}")
+    hot = kraus != 0
+    if (hot.sum(axis=2) > 1).any():
+        raise ValueError("a column has two nonzero entries: "
+                         "not an incoherent operator")
+    # SIO: at most one entry per row of every operator.  PIO: also
+    # unimodular entries, no empty operator, and every source covered by
+    # exactly one operator.  IU: a PIO set with a single operator.
+    sio = (hot.sum(axis=3) <= 1).all(axis=(1, 2))
+    unimodular = (~hot | (np.abs(np.abs(kraus) - 1.0) <= COMPLETENESS_TOL)
+                  ).all(axis=(1, 2, 3))
+    nonempty = hot.any(axis=(2, 3)).all(axis=1)
+    partition = (hot.sum(axis=(1, 2)) == 1).all(axis=1)
+    pio = sio & unimodular & nonempty & partition
+    strongest = np.where(pio, 0 if n_kraus == 1 else 1, np.where(sio, 2, 3))
+    weaker = strongest > _CLASS_ORDER[class_tag]
+    if weaker.any():
+        raise ValueError(
+            f"Kraus structure is only {_CLASSES[strongest[weaker][0]]}, "
+            f"weaker than the declared tag {class_tag}")
+    return strongest
 
 
 def validate_class(channel_or_kraus) -> str:
@@ -188,34 +218,7 @@ def validate_class(channel_or_kraus) -> str:
         kraus = channel_or_kraus.kraus
     else:
         kraus = _coerce_kraus(channel_or_kraus)
-    defect = _completeness_defect(kraus)
-    if defect >= COMPLETENESS_TOL:
-        raise ValueError(
-            f"completeness violated: |sum K^dag K - I| = {defect:.3g}")
-
-    dim = kraus[0].dim
-    if len(kraus) == 1 and kraus[0].is_unitary_permutation():
-        return "IU"
-
-    # PIO: sources partition the basis, each operator is a phase-permutation
-    # on its cell (unimodular coefficients, distinct targets), no empty cell.
-    source_cover = []
-    pio = True
-    for op in kraus:
-        if not op.entries or not op.is_permutation_sparse():
-            pio = False
-            break
-        if any(abs(abs(coeff) - 1.0) > COMPLETENESS_TOL
-               for _, _, coeff in op.entries):
-            pio = False
-            break
-        source_cover.extend(op.sources())
-    if pio and sorted(source_cover) == list(range(dim)):
-        return "PIO"
-
-    if all(op.is_permutation_sparse() for op in kraus):
-        return "SIO"
-    return "IC"
+    return _CLASSES[_check_kraus(_kraus_stack(kraus))[0]]
 
 
 @dataclass(frozen=True)
@@ -237,11 +240,7 @@ class IncoherentChannel:
         if class_tag not in _CLASS_ORDER:
             raise ValueError(f"unknown class tag {class_tag!r}")
         kraus = _coerce_kraus(kraus)
-        strongest = validate_class(kraus)
-        if _CLASS_ORDER[strongest] > _CLASS_ORDER[class_tag]:
-            raise ValueError(
-                f"Kraus structure is only {strongest}, weaker than the "
-                f"declared tag {class_tag}")
+        _check_kraus(_kraus_stack(kraus), class_tag)
         object.__setattr__(self, "class_tag", class_tag)
         object.__setattr__(self, "kraus", kraus)
 
@@ -253,6 +252,33 @@ class IncoherentChannel:
         return validate_class(self.kraus)
 
 
+def _apply_kraus(kraus, states):
+    """Apply a ``(count, n_kraus, dim, dim)`` stack of Kraus sets, one
+    state per set.  Densities ``(count, dim, dim)`` give
+    ``sum_n K_n rho K_n^dag``, checked for trace (``1e-10``) and
+    positivity (``1e-9``).  Amplitudes ``(count, dim)`` give
+    ``(probs, branches, kept)``: probabilities ``|K_n psi|^2`` pruned
+    below ``1e-12`` and renormalized, and normalized branches (rows not
+    ``kept`` are meaningless)."""
+    if states.ndim == 3:
+        out = np.einsum("cnij,cjk,cnlk->cil", kraus, states, kraus.conj())
+        drift = np.abs(np.trace(out, axis1=1, axis2=2).real
+                       - np.trace(states, axis1=1, axis2=2).real)
+        if not (drift <= 1e-10).all():
+            raise ValueError("channel did not preserve the trace")
+        if not (np.linalg.eigvalsh(out).min(axis=1) >= -1e-9).all():
+            raise ValueError("channel output is not positive semidefinite")
+        return out
+    out = np.einsum("cnij,cj->cni", kraus, states)
+    probs = np.einsum("cni,cni->cn", out.conj(), out).real
+    kept = probs > BRANCH_PRUNE
+    if not kept.any(axis=1).all():
+        raise ValueError("all branches vanished")
+    branches = out / np.sqrt(np.where(kept, probs, 1.0))[..., None]
+    probs = np.where(kept, probs, 0.0)
+    return probs / probs.sum(axis=1, keepdims=True), branches, kept
+
+
 def apply_to_pure(channel: IncoherentChannel, state: PureState):
     """Selective application: list of ``(probability, PureState)`` branches.
 
@@ -261,16 +287,10 @@ def apply_to_pure(channel: IncoherentChannel, state: PureState):
     """
     if channel.dim != state.dim:
         raise ValueError("channel and state dimensions differ")
-    branches = []
-    for op in channel.kraus:
-        out = op.apply(state.amps)
-        prob = float(np.vdot(out, out).real)
-        if prob > BRANCH_PRUNE:
-            branches.append((prob, PureState(state.dims, out / math.sqrt(prob))))
-    total = sum(p for p, _ in branches)
-    if total <= 0:
-        raise ValueError("all branches vanished")
-    return [(p / total, s) for p, s in branches]
+    probs, branches, kept = _apply_kraus(_kraus_stack(channel.kraus),
+                                         state.amps[None])
+    return [(float(p), PureState(state.dims, branch))
+            for p, branch, keep in zip(probs[0], branches[0], kept[0]) if keep]
 
 
 def apply_to_density(channel: IncoherentChannel, rho):
@@ -284,14 +304,7 @@ def apply_to_density(channel: IncoherentChannel, rho):
     mat = density_from_bloch(rho) if as_bloch else np.asarray(rho, dtype=complex)
     if mat.shape != (channel.dim, channel.dim):
         raise ValueError("channel and state dimensions differ")
-    out = np.zeros_like(mat)
-    for op in channel.kraus:
-        kmat = op.matrix()
-        out += kmat @ mat @ kmat.conj().T
-    if abs(out.trace().real - mat.trace().real) > 1e-10:
-        raise ValueError("channel did not preserve the trace")
-    if np.linalg.eigvalsh(out).min() < -1e-9:
-        raise ValueError("channel output is not positive semidefinite")
+    out = _apply_kraus(_kraus_stack(channel.kraus), mat[None])[0]
     return bloch_from_density(out) if as_bloch else out
 
 
@@ -325,21 +338,103 @@ def complete_to_povm(element) -> list:
     return out
 
 
-def _random_unit_phases(rng, n: int) -> np.ndarray:
-    return np.exp(2j * np.pi * rng.random(n))
+def _random_phases(rng, shape) -> np.ndarray:
+    return np.exp(2j * np.pi * rng.random(shape))
 
 
-def _random_unit_vector(rng, n: int) -> np.ndarray:
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return v / np.linalg.norm(v)
+def _random_unit_vectors(rng, shape, n: int) -> np.ndarray:
+    """Uniform complex unit vectors of length ``n``, stacked to ``shape``."""
+    v = rng.standard_normal(shape + (n,)) + 1j * rng.standard_normal(shape + (n,))
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
-def _random_surjection(rng, n_sources: int, n_cells: int) -> np.ndarray:
-    """Uniform random map [n_sources] -> [n_cells] hitting every cell."""
-    while True:
-        f = rng.integers(0, n_cells, size=n_sources)
-        if np.unique(f).size == n_cells:
-            return f
+def _random_permutations(rng, shape, n: int) -> np.ndarray:
+    """Uniform permutations of ``range(n)``, stacked to ``shape``."""
+    return np.argsort(rng.random(shape + (n,)), axis=-1)
+
+
+def _random_maps(rng, count: int, n_sources: int, n_targets: int,
+                 lo: int, hi: int, collide: bool = False) -> np.ndarray:
+    """``count`` uniform maps ``range(n_sources) -> range(n_targets)``
+    sending ``lo`` to ``hi`` sources to every target (and, with
+    ``collide``, source 1 where source 0 goes).  Bijections are drawn as
+    permutations; other maps are redrawn until they qualify."""
+    if n_sources == n_targets and not collide and (lo >= 1 or hi <= 1):
+        return _random_permutations(rng, (count,), n_sources)
+    maps = np.empty((count, n_sources), dtype=np.intp)
+    todo = np.arange(count)
+    while todo.size:
+        draw = rng.integers(0, n_targets, size=(todo.size, n_sources))
+        if collide:
+            draw[:, 1] = draw[:, 0]
+        hits = (draw[:, :, None] == np.arange(n_targets)).sum(axis=1)
+        ok = ((hits >= lo) & (hits <= hi)).all(axis=1)
+        maps[todo[ok]] = draw[ok]
+        todo = todo[~ok]
+    return maps
+
+
+def _rank_within(labels) -> np.ndarray:
+    """``rank[c, i]``: how many ``j < i`` share the label ``labels[c, i]``."""
+    same = labels[:, :, None] == labels[:, None, :]
+    return np.tril(same, -1).sum(axis=2)
+
+
+def _random_kraus(class_tag: str, dim: int, n_kraus: int, count: int,
+                  rng) -> np.ndarray:
+    """``count`` random Kraus sets of one class, as a
+    ``(count, n_kraus, dim, dim)`` array (see :func:`random_channel`).
+
+    IU and PIO send each cell of a random partition of the sources to
+    distinct targets; SIO gives every operator its own permutation.  IC
+    fills groups of at most ``dim`` operators: inside a group, sources
+    that collide on one target get distinct roots of unity, which keeps
+    ``sum K^dag K`` exactly diagonal (the first group of two or more
+    operators always holds a collision).
+    """
+    class_tag = str(class_tag).upper()
+    if class_tag not in _CLASS_ORDER:
+        raise ValueError(f"unknown class tag {class_tag!r}")
+    if dim < 2 or n_kraus < 1:
+        raise ValueError("need dim >= 2 and n_kraus >= 1")
+    if class_tag == "IU" and n_kraus != 1:
+        raise ValueError("an IU channel has exactly one Kraus operator")
+    if class_tag == "PIO" and n_kraus > dim:
+        raise ValueError("a PIO channel needs n_kraus <= dim "
+                         "(one operator per nonempty partition cell)")
+    kraus = np.zeros((count, n_kraus, dim, dim), dtype=complex)
+    chan = np.arange(count)[:, None]
+    sources = np.arange(dim)
+
+    if class_tag in ("IU", "PIO"):
+        cells = _random_maps(rng, count, dim, n_kraus, 1, dim)
+        perms = _random_permutations(rng, (count, n_kraus), dim)
+        targets = perms[chan, cells, _rank_within(cells)]
+        kraus[chan, cells, targets, sources] = _random_phases(rng, (count, dim))
+        return kraus
+
+    if class_tag == "SIO":
+        perms = _random_permutations(rng, (count, n_kraus), dim)
+        weights = _random_unit_vectors(rng, (count, dim), n_kraus)
+        kraus[chan[:, :, None], np.arange(n_kraus)[:, None], perms,
+              sources] = weights.transpose(0, 2, 1)
+        return kraus
+
+    starts = range(0, n_kraus, dim)
+    split = _random_unit_vectors(rng, (count, dim), len(starts))
+    for g, start in enumerate(starts):
+        m = min(dim, n_kraus - start)
+        targets = _random_maps(rng, count, dim, dim, 0, m,
+                               collide=(g == 0 and m >= 2))
+        # a distinct residue per source within each collision class
+        residues = _random_permutations(rng, (count, dim), m)[
+            chan, targets, _rank_within(targets)]
+        coeffs = split[:, :, g] * _random_phases(rng, (count, dim)) / math.sqrt(m)
+        branch = np.arange(m)[:, None]
+        roots = np.exp(2j * np.pi * (branch * residues[:, None, :] % m) / m)
+        kraus[chan[:, :, None], start + branch, targets[:, None, :],
+              sources] = coeffs[:, None, :] * roots
+    return kraus
 
 
 def random_channel(class_tag: str, dim: int, n_kraus: int, seed) -> IncoherentChannel:
@@ -355,83 +450,9 @@ def random_channel(class_tag: str, dim: int, n_kraus: int, seed) -> IncoherentCh
         For infeasible combinations: IU needs ``n_kraus == 1``; PIO
         needs ``n_kraus <= dim`` (one operator per partition cell).
     """
-    class_tag = str(class_tag).upper()
-    if class_tag not in _CLASS_ORDER:
-        raise ValueError(f"unknown class tag {class_tag!r}")
-    dim, n_kraus = int(dim), int(n_kraus)
-    if dim < 2 or n_kraus < 1:
-        raise ValueError("need dim >= 2 and n_kraus >= 1")
-    rng = np.random.default_rng(seed)
-
-    if class_tag == "IU":
-        if n_kraus != 1:
-            raise ValueError("an IU channel has exactly one Kraus operator")
-        perm = rng.permutation(dim)
-        phases = _random_unit_phases(rng, dim)
-        op = KrausOperator(dim, [(int(perm[i]), i, phases[i]) for i in range(dim)])
-        return IncoherentChannel("IU", [op])
-
-    if class_tag == "PIO":
-        if n_kraus > dim:
-            raise ValueError("a PIO channel needs n_kraus <= dim "
-                             "(one operator per nonempty partition cell)")
-        cells = _random_surjection(rng, dim, n_kraus)
-        ops = []
-        for n in range(n_kraus):
-            members = np.flatnonzero(cells == n)
-            targets = rng.permutation(dim)[:members.size]
-            phases = _random_unit_phases(rng, members.size)
-            ops.append(KrausOperator(dim, [
-                (int(targets[k]), int(members[k]), phases[k])
-                for k in range(members.size)]))
-        return IncoherentChannel("PIO", ops)
-
-    if class_tag == "SIO":
-        perms = [rng.permutation(dim) for _ in range(n_kraus)]
-        weights = np.stack([_random_unit_vector(rng, n_kraus)
-                            for _ in range(dim)])  # (source, branch)
-        ops = []
-        for n in range(n_kraus):
-            ops.append(KrausOperator(dim, [
-                (int(perms[n][i]), i, weights[i, n]) for i in range(dim)]))
-        return IncoherentChannel("SIO", ops)
-
-    # IC: branches are organized in groups; inside a group, sources that
-    # collide on the same target are separated by distinct roots of unity,
-    # which keeps sum K^dag K exactly diagonal while allowing genuinely
-    # non-permutation-sparse operators.
-    group_sizes = []
-    remaining = n_kraus
-    while remaining > 0:
-        size = min(dim, remaining)
-        group_sizes.append(size)
-        remaining -= size
-    n_groups = len(group_sizes)
-    split = np.stack([_random_unit_vector(rng, n_groups) for _ in range(dim)])
-    ops = []
-    first_group = True
-    for g, m in enumerate(group_sizes):
-        while True:
-            target_map = rng.integers(0, dim, size=dim)
-            if first_group and m >= 2 and dim >= 2:
-                target_map[1] = target_map[0]  # force one genuine collision
-            counts = np.bincount(target_map, minlength=dim)
-            if counts.max() <= m:
-                break
-        # distinct residue per source within each collision class
-        residues = np.zeros(dim, dtype=int)
-        for t in range(dim):
-            members = np.flatnonzero(target_map == t)
-            residues[members] = rng.permutation(m)[:members.size]
-        phases = _random_unit_phases(rng, dim)
-        omega = cmath.exp(2j * cmath.pi / m)
-        for n in range(m):
-            coeffs = (split[:, g] * phases * omega ** (n * residues)
-                      / math.sqrt(m))
-            ops.append(KrausOperator(dim, [
-                (int(target_map[i]), i, coeffs[i]) for i in range(dim)]))
-        first_group = False
-    return IncoherentChannel("IC", ops)
+    kraus = _random_kraus(class_tag, int(dim), int(n_kraus), 1,
+                          np.random.default_rng(seed))
+    return IncoherentChannel(class_tag, kraus[0])
 
 
 @dataclass(frozen=True)

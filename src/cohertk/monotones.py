@@ -378,6 +378,28 @@ def qubit_pio_Cs(r) -> MonotoneValue:
                          measure="bloch-halfplane", operation_class="PIO")
 
 
+def _qubit_monotone(monotone: str, t, z):
+    """Value of ``qubit_sio_Ca``, ``qubit_sio_Cs``, ``qubit_pio_Ca`` or
+    ``qubit_pio_Cs`` (named ``"sio-Ca"`` ... ``"pio-Cs"``) at transverse
+    radii ``t`` and heights ``z``, vectorized.  ``sio-Cs`` takes the pure
+    branch where ``|t^2 + z^2 - 1| <= 1e-12``, as ``QubitBloch.is_pure``
+    does."""
+    t = np.asarray(t, dtype=float)
+    z = np.asarray(z, dtype=float)
+    if monotone == "sio-Ca":
+        return _sio_accessible_volume(t, z) / math.pi
+    if monotone == "pio-Ca":
+        return _pio_accessible_volume(t, z) / _PIO_SUP_ACCESSIBLE
+    if monotone == "pio-Cs":
+        return 1.0 - _pio_source_volume(t, z) / math.pi
+    if monotone == "sio-Cs":
+        pure = np.abs(t * t + z * z - 1.0) <= 1e-12
+        volume = np.where(pure, _sio_source_volume_pure(z),
+                          _sio_source_volume_mixed(t, z))
+        return 1.0 - volume / math.pi
+    raise ValueError(f"unknown monotone {monotone!r}")
+
+
 # ---------------------------------------------------------------------------
 # planar example families
 

@@ -19,14 +19,17 @@ from fractions import Fraction
 
 import numpy as np
 
-from .channels import apply_to_density, apply_to_pure, random_channel
+from .channels import (_apply_kraus, _check_kraus, _kraus_stack, _random_kraus,
+                       apply_to_density, apply_to_pure, random_channel)
 from .feasibility import pio_feasible_mask, sio_feasible_mask
-from .monotones import (_sio_accessible_volume, _sio_source_volume_mixed,
-                        _sio_source_volume_pure, permutation_sum,
+from .monotones import (_qubit_monotone, _sio_accessible_volume,
+                        _sio_source_volume_mixed, _sio_source_volume_pure,
+                        permutation_sum,
                         qubit_pio_Ca, qubit_pio_Cs, qubit_sio_Ca,
                         qubit_sio_Cs, source_coherence_closed,
                         sup_source_volume)
-from .states import PureState, QubitBloch, product_term_count, sorted_spectrum
+from .states import (AMP_TOL, PureState, QubitBloch, product_term_count,
+                     sorted_spectrum)
 
 __all__ = [
     "DEFAULT_SEED",
@@ -448,11 +451,74 @@ _QUBIT_MONOTONES = {
 _KRAUS_RANGE = {"IU": (1, 1), "PIO": (1, 2), "SIO": (1, 4), "IC": (1, 4)}
 
 
-def _random_ball_point(rng) -> QubitBloch:
-    direction = rng.normal(size=3)
-    direction /= np.linalg.norm(direction)
-    radius = rng.random() ** (1.0 / 3.0)
-    return QubitBloch(*(radius * direction))
+#: Trials drawn and run together: bounds a suite call's memory whatever
+#: its trial count.
+_TRIAL_BLOCK = 1024
+
+
+def _audit(public, batched, what: str) -> None:
+    """Raise unless the public functions and the batched kernels agree
+    within 1e-12 on one trial."""
+    public = np.asarray(public, dtype=float)
+    batched = np.asarray(batched, dtype=float)
+    if (public.shape != batched.shape
+            or not (np.abs(public - batched) <= 1e-12).all()):
+        raise RuntimeError(f"{what}: the batched kernels give {batched}, "
+                           f"the public functions {public}")
+
+
+def _ball_points(rng, count: int) -> np.ndarray:
+    """``(count, 3)`` Bloch vectors uniform in the ball."""
+    direction = rng.normal(size=(count, 3))
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    return (rng.random(count) ** (1.0 / 3.0))[:, None] * direction
+
+
+def _qubit_increases(monotone: str, kraus, bloch) -> np.ndarray:
+    """Increase of ``monotone`` from each row of ``bloch`` to its image
+    under the matching Kraus set, with the arithmetic of
+    ``density_from_bloch``, ``apply_to_density`` and ``bloch_from_density``."""
+    x, y, z = bloch.T
+    rho = 0.5 * np.stack([1.0 + z, x - 1j * y, x + 1j * y, 1.0 - z],
+                         axis=1).reshape(-1, 2, 2)
+    image = _apply_kraus(kraus, rho)
+    ix, iy = 2.0 * image[:, 0, 1].real, -2.0 * image[:, 0, 1].imag
+    iz = image[:, 0, 0].real - image[:, 1, 1].real
+    after = _qubit_monotone(monotone, np.sqrt(ix * ix + iy * iy), iz)
+    return after - _qubit_monotone(monotone, np.sqrt(x * x + y * y), z)
+
+
+def _qubit_trials(monotone: str, operation_class: str, trials: int,
+                  rng) -> np.ndarray:
+    """Increases over ``trials`` random (Bloch vector, channel) trials,
+    with one checked Kraus stack per Kraus count in each block."""
+    lo, hi = _KRAUS_RANGE[operation_class]
+    increases = np.empty(trials)
+    for start in range(0, trials, _TRIAL_BLOCK):
+        block = increases[start:start + _TRIAL_BLOCK]
+        bloch = _ball_points(rng, block.size)
+        n_kraus = rng.integers(lo, hi + 1, size=block.size)
+        for k in np.unique(n_kraus):
+            idx = np.flatnonzero(n_kraus == k)
+            kraus = _random_kraus(operation_class, 2, int(k), idx.size, rng)
+            _check_kraus(kraus, operation_class)
+            block[idx] = _qubit_increases(monotone, kraus, bloch[idx])
+    return increases
+
+
+def _qubit_audit_trial(monotone: str, operation_class: str, rng) -> float:
+    """One trial through ``random_channel``, ``apply_to_density`` and the
+    public closed form, checked against the batched kernels."""
+    lo, hi = _KRAUS_RANGE[operation_class]
+    bloch = _ball_points(rng, 1)
+    channel = random_channel(operation_class, 2, int(rng.integers(lo, hi + 1)),
+                             int(rng.integers(0, 2**63)))
+    fn = _QUBIT_MONOTONES[monotone]
+    state = QubitBloch(*bloch[0].tolist())
+    increase = fn(apply_to_density(channel, state)).value - fn(state).value
+    _audit(increase, _qubit_increases(monotone, _kraus_stack(channel.kraus),
+                                      bloch)[0], f"{monotone}/{operation_class}")
+    return increase
 
 
 def monotonicity_suite(monotone: str, operation_class: str, trials: int,
@@ -467,20 +533,22 @@ def monotonicity_suite(monotone: str, operation_class: str, trials: int,
     against random feasible pure-state targets (interpolations toward
     the incoherent vertex, which majorize the source spectrum).
 
-    The report carries the largest observed increase and the count of
-    increases above 1e-8.
+    The qubit trials run batched; one of them also runs through the
+    public functions, which must agree with the batched kernels within
+    1e-12.  The report carries the largest observed increase and the
+    count of increases above 1e-8.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     operation_class = operation_class.upper()
     rng = np.random.default_rng(seed)
-    worst = -math.inf
-    violations = 0
 
     if monotone == "source-closed":
         if operation_class not in ("SIO", "IC", "LICC", "LSICC"):
             raise ValueError(
                 f"source-closed is not claimed monotone under {operation_class!r}")
+        worst = -math.inf
+        violations = 0
         for _ in range(trials):
             d = int(rng.integers(2, 6))
             lam = rng.standard_exponential(d)
@@ -504,20 +572,11 @@ def monotonicity_suite(monotone: str, operation_class: str, trials: int,
             "partition-preserving monotones are claimed only under IU/PIO")
     if operation_class not in _KRAUS_RANGE:
         raise ValueError(f"unknown operation class {operation_class!r}")
-    fn = _QUBIT_MONOTONES[monotone]
-    lo, hi = _KRAUS_RANGE[operation_class]
-    for _ in range(trials):
-        state = _random_ball_point(rng)
-        n_kraus = int(rng.integers(lo, hi + 1))
-        channel = random_channel(operation_class, 2, n_kraus,
-                                 int(rng.integers(0, 2**63)))
-        image = apply_to_density(channel, state)
-        increase = fn(image).value - fn(state).value
-        worst = max(worst, increase)
-        if increase > _MONOTONICITY_TOL:
-            violations += 1
+    increases = np.append(_qubit_trials(monotone, operation_class, trials - 1, rng),
+                          _qubit_audit_trial(monotone, operation_class, rng))
     return MonotonicityReport(monotone, operation_class, trials, seed,
-                              _MONOTONICITY_TOL, worst, violations)
+                              _MONOTONICITY_TOL, float(increases.max()),
+                              int(np.count_nonzero(increases > _MONOTONICITY_TOL)))
 
 
 @dataclass(frozen=True)
@@ -531,36 +590,84 @@ class Lemma1Report:
     violations: int
 
 
+_LEMMA1_SHAPES = ((2,), (2, 2), (2, 2, 2))
+_LEMMA1_CLASSES = ("SIO", "IC")
+
+
+def _lemma1_draws(rng, count: int):
+    """Shape index, class index, Kraus count and amplitudes of ``count``
+    Lemma-1 trials.  A state is the leading entries of its row of
+    ``amps``: Gaussian amplitudes on a random support of random size."""
+    sizes = np.array([math.prod(dims) for dims in _LEMMA1_SHAPES])
+    shape = rng.integers(0, len(_LEMMA1_SHAPES), size=count)
+    total = sizes[shape]
+    support_size = rng.integers(1, total + 1)
+    keys = np.where(np.arange(sizes.max()) < total[:, None],
+                    rng.random((count, sizes.max())), np.inf)
+    support = np.argsort(np.argsort(keys, axis=1), axis=1) < support_size[:, None]
+    amps = (rng.normal(size=keys.shape) + 1j * rng.normal(size=keys.shape)) * support
+    amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+    return (shape, rng.integers(0, len(_LEMMA1_CLASSES), size=count),
+            rng.integers(1, 5, size=count), amps)
+
+
+def _branch_changes(kraus, amps):
+    """Probability and product-term-count change of every kept branch of
+    each row of ``amps`` under its Kraus set, trial by trial."""
+    probs, branches, kept = _apply_kraus(kraus, amps)
+    before = np.count_nonzero(np.abs(amps) > AMP_TOL, axis=1)
+    after = np.count_nonzero(np.abs(branches) > AMP_TOL, axis=2)
+    return probs[kept], (after - before[:, None])[kept]
+
+
+def _lemma1_trials(trials: int, rng) -> np.ndarray:
+    """Branch changes of ``trials`` random Lemma-1 trials, with one
+    checked Kraus stack per shape, class and Kraus count in each block."""
+    changes = [np.empty(0, dtype=np.intp)]
+    for start in range(0, trials, _TRIAL_BLOCK):
+        shape, cls, n_kraus, amps = _lemma1_draws(
+            rng, min(_TRIAL_BLOCK, trials - start))
+        groups = np.stack([shape, cls, n_kraus], axis=1)
+        for group in np.unique(groups, axis=0):
+            idx = np.flatnonzero((groups == group).all(axis=1))
+            class_tag = _LEMMA1_CLASSES[group[1]]
+            dim = math.prod(_LEMMA1_SHAPES[group[0]])
+            kraus = _random_kraus(class_tag, dim, int(group[2]), idx.size, rng)
+            _check_kraus(kraus, class_tag)
+            changes.append(_branch_changes(kraus, amps[idx, :dim])[1])
+    return np.concatenate(changes)
+
+
+def _lemma1_audit_trial(rng) -> list:
+    """One trial through ``random_channel``, ``apply_to_pure`` and
+    ``product_term_count``, checked against the batched kernels."""
+    shape, cls, n_kraus, amps = _lemma1_draws(rng, 1)
+    dims = _LEMMA1_SHAPES[shape[0]]
+    state = PureState(dims, amps[0, :math.prod(dims)])
+    channel = random_channel(_LEMMA1_CLASSES[cls[0]], state.dim,
+                             int(n_kraus[0]), int(rng.integers(0, 2**63)))
+    rank = product_term_count(state)
+    branches = apply_to_pure(channel, state)
+    changes = [product_term_count(branch) - rank for _, branch in branches]
+    probs, batched = _branch_changes(_kraus_stack(channel.kraus), state.amps[None])
+    _audit([p for p, _ in branches] + changes, np.append(probs, batched),
+           "lemma1")
+    return changes
+
+
 def lemma1_suite(trials: int, seed: int = DEFAULT_SEED) -> Lemma1Report:
     """Random SIO/IC channel branches on random states of 1-3 qubits:
     reports the largest change in nonzero-amplitude count across
-    branches (never positive)."""
+    branches (never positive).
+
+    The trials run batched; one of them also runs through the public
+    functions, which must agree with the batched kernels."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     rng = np.random.default_rng(seed)
-    shapes = [(2,), (2, 2), (2, 2, 2)]
-    worst = -(2 ** 31)
-    violations = 0
-    for _ in range(trials):
-        dims = shapes[int(rng.integers(0, len(shapes)))]
-        total = int(np.prod(dims))
-        support_size = int(rng.integers(1, total + 1))
-        support = rng.choice(total, size=support_size, replace=False)
-        amps = np.zeros(total, dtype=complex)
-        amps[support] = rng.normal(size=support_size) \
-            + 1j * rng.normal(size=support_size)
-        amps /= np.linalg.norm(amps)
-        state = PureState(dims, amps)
-        rank = product_term_count(state)
-        class_tag = ("SIO", "IC")[int(rng.integers(0, 2))]
-        channel = random_channel(class_tag, total, int(rng.integers(1, 5)),
-                                 int(rng.integers(0, 2**63)))
-        for _, branch in apply_to_pure(channel, state):
-            change = product_term_count(branch) - rank
-            worst = max(worst, change)
-            if change > 0:
-                violations += 1
-    return Lemma1Report(trials, seed, worst, violations)
+    changes = np.append(_lemma1_trials(trials - 1, rng), _lemma1_audit_trial(rng))
+    return Lemma1Report(trials, seed, int(changes.max()),
+                        int(np.count_nonzero(changes > 0)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Tests for sparse Kraus operators, channel classes, and application."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from cohertk.channels import (
+    _CLASS_ORDER,
     IncoherentChannel,
     KrausOperator,
     LocalChannelProduct,
@@ -15,6 +17,9 @@ from cohertk.channels import (
     complete_to_povm,
     local_product_apply,
     random_channel,
+    _apply_kraus,
+    _check_kraus,
+    _random_kraus,
     validate_class,
 )
 from cohertk.states import PureState, QubitBloch
@@ -236,3 +241,155 @@ def test_local_product_apply_matches_kron():
 
     with pytest.raises(ValueError, match="do not match"):
         local_product_apply(product, PureState((2,), [1, 0]))
+
+
+def test_random_ic_single_operator_is_a_phased_permutation():
+    # one IC group of one operator needs a bijective target map
+    for seed in range(50):
+        channel = random_channel("IC", 8, 1, seed)
+        assert channel.class_tag == "IC"
+        assert channel.strongest_class() == "IU"
+        check_completeness(channel.kraus)
+
+
+def _random_densities(rng, count, dim):
+    g = (rng.standard_normal((count, dim, dim))
+         + 1j * rng.standard_normal((count, dim, dim)))
+    rho = g @ g.conj().transpose(0, 2, 1)
+    return rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+
+
+@pytest.mark.parametrize("dim", [2, 4, 8])
+@pytest.mark.parametrize("tag, n_kraus", [("IU", 1), ("PIO", 2), ("SIO", 3),
+                                          ("IC", 3)])
+def test_batched_kraus_sets_are_class_members(tag, n_kraus, dim):
+    rng = np.random.default_rng(dim * 10 + n_kraus)
+    kraus = _random_kraus(tag, dim, n_kraus, 100, rng)
+    assert kraus.shape == (100, n_kraus, dim, dim)
+    assert (_check_kraus(kraus, tag) <= _CLASS_ORDER[tag]).all()
+    rho = _random_densities(rng, 100, dim)
+    amps = rng.standard_normal((100, dim)) + 1j * rng.standard_normal((100, dim))
+    amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+    images = _apply_kraus(kraus, rho)
+    probs, branches, kept = _apply_kraus(kraus, amps)
+    for c in range(100):
+        channel = IncoherentChannel(tag, kraus[c])
+        assert _CLASS_ORDER[channel.strongest_class()] <= _CLASS_ORDER[tag]
+        assert_allclose(apply_to_density(channel, rho[c]), images[c],
+                        rtol=0, atol=1e-12)
+        dense = sum(k @ rho[c] @ k.conj().T for k in kraus[c])
+        assert_allclose(images[c], dense, rtol=0, atol=1e-12)
+        public = apply_to_pure(channel, PureState((dim,), amps[c]))
+        assert len(public) == kept[c].sum()
+        for (prob, state), n in zip(public, np.flatnonzero(kept[c])):
+            assert abs(prob - probs[c, n]) <= 1e-12
+            assert_allclose(state.amps, branches[c, n], rtol=0, atol=1e-12)
+
+
+# Gaussian rationals as (real, imaginary) pairs of Fraction object arrays
+def _cmul(a, b):
+    return (a[0] @ b[0] - a[1] @ b[1], a[0] @ b[1] + a[1] @ b[0])
+
+
+def _dagger(a):
+    return (a[0].T, -a[1].T)
+
+
+def _as_float(a):
+    return a[0].astype(float) + 1j * a[1].astype(float)
+
+
+def _exact_phase(k):
+    """i ** k as a (real, imaginary) pair."""
+    return (Fraction((1, 0, -1, 0)[k % 4]), Fraction((0, 1, 0, -1)[k % 4]))
+
+
+def _exact_kraus(rng, dim):
+    """A complete rational two-operator Kraus set: every source splits
+    its weight 3/5, 4/5 over two targets with phases in {+-1, +-i}.  At
+    dim 2 the set is IC (both sources of an operator share its target);
+    above, SIO (a permutation per operator)."""
+    ops = [(np.full((dim, dim), Fraction(0), dtype=object),
+            np.full((dim, dim), Fraction(0), dtype=object)) for _ in range(2)]
+    if dim == 2:
+        # sum K^dag K is diagonal when conj(p0) p1 = conj(p2) p3
+        k = list(rng.integers(0, 4, size=3))
+        k.append(k[2] - k[0] + k[1])
+        slots = [(0, 0, 0, Fraction(3, 5)), (0, 0, 1, Fraction(4, 5)),
+                 (1, 1, 0, Fraction(4, 5)), (1, 1, 1, Fraction(-3, 5))]
+        for (n, target, source, weight), power in zip(slots, k):
+            re, im = _exact_phase(power)
+            ops[n][0][target, source] = weight * re
+            ops[n][1][target, source] = weight * im
+        return ops
+    perms = [rng.permutation(dim) for _ in range(2)]
+    for source in range(dim):
+        weights = (Fraction(3, 5), Fraction(4, 5))[::int(rng.choice((-1, 1)))]
+        for n in range(2):
+            re, im = _exact_phase(int(rng.integers(4)))
+            ops[n][0][perms[n][source], source] = weights[n] * re
+            ops[n][1][perms[n][source], source] = weights[n] * im
+    return ops
+
+
+def _exact_vector(rng, dim):
+    """A rational unit vector: a Pythagorean pair on two coordinates."""
+    re = np.full(dim, Fraction(0), dtype=object)
+    im = np.full(dim, Fraction(0), dtype=object)
+    first, second = rng.choice(dim, size=2, replace=False)
+    for index, weight in ((first, Fraction(3, 5)), (second, Fraction(4, 5))):
+        phase = _exact_phase(int(rng.integers(4)))
+        re[index], im[index] = weight * phase[0], weight * phase[1]
+    return re[:, None], im[:, None]
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_batched_application_matches_exact_arithmetic(dim):
+    rng = np.random.default_rng(dim)
+    sets = [_exact_kraus(rng, dim) for _ in range(20)]
+    vectors = [_exact_vector(rng, dim) for _ in range(20)]
+    kraus = np.array([[_as_float(op) for op in ops] for ops in sets])
+    assert (_check_kraus(kraus) == (3 if dim == 2 else 2)).all()
+
+    # densities: equal mixtures of two rational pure states
+    densities = []
+    for c in range(20):
+        u, v = vectors[c], vectors[(c + 1) % 20]
+        pu, pv = _cmul(u, _dagger(u)), _cmul(v, _dagger(v))
+        densities.append(((pu[0] + pv[0]) / 2, (pu[1] + pv[1]) / 2))
+    images = _apply_kraus(kraus, np.array([_as_float(r) for r in densities]))
+    for c, (ops, rho) in enumerate(zip(sets, densities)):
+        exact = (np.full((dim, dim), Fraction(0), dtype=object),) * 2
+        for op in ops:
+            term = _cmul(_cmul(op, rho), _dagger(op))
+            exact = (exact[0] + term[0], exact[1] + term[1])
+        assert_allclose(images[c], _as_float(exact), rtol=0, atol=1e-15)
+
+    # pure states: branch probabilities and branch projectors
+    probs, branches, kept = _apply_kraus(
+        kraus, np.array([_as_float(v)[:, 0] for v in vectors]))
+    for c, (ops, vec) in enumerate(zip(sets, vectors)):
+        for n, op in enumerate(ops):
+            out = _cmul(op, vec)
+            prob = _cmul(_dagger(out), out)[0][0, 0]
+            assert kept[c, n] == (prob > 0)
+            if prob == 0:
+                continue
+            assert abs(probs[c, n] - float(prob)) <= 1e-15
+            projector = _cmul(out, _dagger(out))
+            exact = _as_float((projector[0] / prob, projector[1] / prob))
+            assert_allclose(np.outer(branches[c, n], branches[c, n].conj()),
+                            exact, rtol=0, atol=1e-15)
+
+
+def test_vectorized_check_rejects_broken_sets():
+    good = np.array([[[R2, R2], [0, 0]], [[0, 0], [R2, -R2]]], dtype=complex)
+    assert list(_check_kraus(np.stack([good, good]))) == [3, 3]
+    short = good * 0.99
+    with pytest.raises(ValueError, match="completeness"):
+        _check_kraus(np.stack([good, short]))
+    hadamard = np.array([[[R2, R2], [R2, -R2]]], dtype=complex)
+    with pytest.raises(ValueError, match="not an incoherent"):
+        _check_kraus(hadamard[None])
+    with pytest.raises(ValueError, match="only IC, weaker than the declared tag SIO"):
+        _check_kraus(good[None], "SIO")

@@ -17,7 +17,10 @@ from cohertk.monotones import (
     qubit_sio_Cs,
     sup_source_volume,
 )
+from cohertk import oracle
 from cohertk.oracle import (
+    DEFAULT_SEED,
+    _qubit_trials,
     b3_b4_counterexamples,
     coordinate_plane_predicate,
     exact_polytope_volume,
@@ -29,6 +32,7 @@ from cohertk.oracle import (
     qubit_region_predicate,
     sorted_simplex_predicate,
 )
+from cohertk.channels import apply_to_pure
 from cohertk.states import QubitBloch
 
 RT = math.sqrt
@@ -263,6 +267,27 @@ def test_monotonicity_suite_validates_claims():
         monotonicity_suite("sio-Ca", "LOCC", 10)
     with pytest.raises(ValueError, match="not claimed monotone"):
         monotonicity_suite("source-closed", "IU", 10)
+
+
+def test_batched_trials_find_increases_of_an_unclaimed_pair():
+    # a negative control: pio-Cs does increase under some SIO channels,
+    # so batched trials that computed nothing would be caught here
+    increases = _qubit_trials("pio-Cs", "SIO", 2000,
+                              np.random.default_rng(DEFAULT_SEED))
+    assert increases.shape == (2000,)
+    assert np.count_nonzero(increases > 1e-8) > 0
+
+
+def test_suites_audit_the_batched_kernels(monkeypatch):
+    # the audit trial runs through the public functions, so a batched
+    # kernel that disagrees with them stops the suite
+    monkeypatch.setitem(oracle._QUBIT_MONOTONES, "sio-Ca", qubit_sio_Cs)
+    with pytest.raises(RuntimeError, match="sio-Ca/SIO"):
+        monotonicity_suite("sio-Ca", "SIO", 5, seed=1)
+    monkeypatch.setattr(oracle, "apply_to_pure", lambda channel, state: [
+        (p / 2, branch) for p, branch in apply_to_pure(channel, state)])
+    with pytest.raises(RuntimeError, match="lemma1"):
+        lemma1_suite(5, seed=1)
 
 
 @pytest.mark.parametrize("trials", [0, -5])
