@@ -146,24 +146,20 @@ class KrausOperator:
                                         for target, source, coeff in self.entries])
 
 
-def _coerce_kraus(ops, dim=None):
-    kraus = []
-    for op in ops:
-        if isinstance(op, KrausOperator):
-            kraus.append(op)
-        else:
-            kraus.append(KrausOperator.from_matrix(op))
-    if not kraus:
+def _kraus_array(ops) -> np.ndarray:
+    """A Kraus set (:class:`KrausOperator` objects or dense matrices) as
+    one ``(n_kraus, dim, dim)`` complex array."""
+    mats = [op.matrix() if isinstance(op, KrausOperator)
+            else np.asarray(op, dtype=complex) for op in ops]
+    if not mats:
         raise ValueError("empty Kraus list")
-    dims = {op.dim for op in kraus}
-    if len(dims) != 1 or (dim is not None and kraus[0].dim != dim):
+    if any(m.ndim != 2 or m.shape[0] != m.shape[1] for m in mats):
+        raise ValueError("expected a square matrix")
+    if len({m.shape for m in mats}) != 1:
         raise ValueError("Kraus operators have inconsistent dimensions")
-    return tuple(kraus)
-
-
-def _kraus_stack(kraus) -> np.ndarray:
-    """One Kraus set as a ``(1, n_kraus, dim, dim)`` array."""
-    return np.stack([op.matrix() for op in kraus])[None]
+    if mats[0].shape[0] < 1:
+        raise ValueError("dim must be positive")
+    return np.stack(mats)
 
 
 def _check_kraus(kraus, class_tag: str = "IC") -> np.ndarray:
@@ -172,16 +168,16 @@ def _check_kraus(kraus, class_tag: str = "IC") -> np.ndarray:
     every set is complete (Frobenius defect below ``1e-9``), column
     sparse, and at least as strong as ``class_tag``."""
     n_kraus, dim = kraus.shape[1], kraus.shape[-1]
+    hot = kraus != 0
+    if (hot.sum(axis=2) > 1).any():
+        raise ValueError("a column has two nonzero entries: "
+                         "not an incoherent operator")
     gram = np.einsum("cnij,cnik->cjk", kraus.conj(), kraus)
     defect = np.linalg.norm(gram - np.eye(dim), axis=(1, 2))
     complete = defect < COMPLETENESS_TOL
     if not complete.all():
         raise ValueError("completeness violated: |sum K^dag K - I| = "
                          f"{defect[~complete][0]:.3g}")
-    hot = kraus != 0
-    if (hot.sum(axis=2) > 1).any():
-        raise ValueError("a column has two nonzero entries: "
-                         "not an incoherent operator")
     # SIO: at most one entry per row of every operator.  PIO: also
     # unimodular entries, no empty operator, and every source covered by
     # exactly one operator.  IU: a PIO set with a single operator.
@@ -215,13 +211,13 @@ def validate_class(channel_or_kraus) -> str:
         On a completeness violation or a non-incoherent column pattern.
     """
     if isinstance(channel_or_kraus, IncoherentChannel):
-        kraus = channel_or_kraus.kraus
+        kraus = channel_or_kraus.matrices
     else:
-        kraus = _coerce_kraus(channel_or_kraus)
-    return _CLASSES[_check_kraus(_kraus_stack(kraus))[0]]
+        kraus = _kraus_array(channel_or_kraus)
+    return _CLASSES[_check_kraus(kraus[None])[0]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IncoherentChannel:
     """A complete set of incoherent Kraus operators with a class tag.
 
@@ -230,26 +226,36 @@ class IncoherentChannel:
     found by :func:`validate_class` must be at least as strong as the
     tag (a permutation unitary may be tagged SIO, but a merely-IC Kraus
     set may not).
+
+    The checked operators are stored once, as the read-only dense
+    ``(n_kraus, dim, dim)`` array ``matrices``; ``kraus`` gives the same
+    operators as sparse :class:`KrausOperator` objects.  Channels
+    compare by identity.
     """
 
     class_tag: str
-    kraus: tuple
+    matrices: np.ndarray = field(repr=False)
 
     def __init__(self, class_tag: str, kraus):
         class_tag = str(class_tag).upper()
         if class_tag not in _CLASS_ORDER:
             raise ValueError(f"unknown class tag {class_tag!r}")
-        kraus = _coerce_kraus(kraus)
-        _check_kraus(_kraus_stack(kraus), class_tag)
+        matrices = _kraus_array(kraus)
+        _check_kraus(matrices[None], class_tag)
+        matrices.setflags(write=False)
         object.__setattr__(self, "class_tag", class_tag)
-        object.__setattr__(self, "kraus", kraus)
+        object.__setattr__(self, "matrices", matrices)
+
+    @property
+    def kraus(self) -> tuple:
+        return tuple(KrausOperator.from_matrix(m) for m in self.matrices)
 
     @property
     def dim(self) -> int:
-        return self.kraus[0].dim
+        return self.matrices.shape[-1]
 
     def strongest_class(self) -> str:
-        return validate_class(self.kraus)
+        return validate_class(self)
 
 
 def _apply_kraus(kraus, states):
@@ -287,7 +293,7 @@ def apply_to_pure(channel: IncoherentChannel, state: PureState):
     """
     if channel.dim != state.dim:
         raise ValueError("channel and state dimensions differ")
-    probs, branches, kept = _apply_kraus(_kraus_stack(channel.kraus),
+    probs, branches, kept = _apply_kraus(channel.matrices[None],
                                          state.amps[None])
     return [(float(p), PureState(state.dims, branch))
             for p, branch, keep in zip(probs[0], branches[0], kept[0]) if keep]
@@ -304,7 +310,7 @@ def apply_to_density(channel: IncoherentChannel, rho):
     mat = density_from_bloch(rho) if as_bloch else np.asarray(rho, dtype=complex)
     if mat.shape != (channel.dim, channel.dim):
         raise ValueError("channel and state dimensions differ")
-    out = _apply_kraus(_kraus_stack(channel.kraus), mat[None])[0]
+    out = _apply_kraus(channel.matrices[None], mat[None])[0]
     return bloch_from_density(out) if as_bloch else out
 
 
@@ -487,35 +493,39 @@ class LocalBranch:
     labels: tuple
 
 
+def _apply_on_axis(ops, tensor, axis: int) -> np.ndarray:
+    """Apply every operator of an ``(n_ops, d, d)`` stack to party
+    ``axis`` of each row of a ``(branches, *dims)`` tensor.  Returns
+    ``(branches * n_ops, *dims)``, branch by branch and, within a branch,
+    operator by operator."""
+    out = np.einsum("nij,b...j->bn...i", ops, np.moveaxis(tensor, axis + 1, -1))
+    return np.moveaxis(out, -1, axis + 2).reshape((-1,) + tensor.shape[1:])
+
+
 def local_product_apply(product: LocalChannelProduct, state: PureState):
     """Apply each party's channel in sequence, tracking outcome labels.
 
-    Returns a list of :class:`LocalBranch`; probabilities sum to 1
-    after pruning branches below ``1e-12``.
+    Returns a list of :class:`LocalBranch` in lexicographic label order;
+    probabilities sum to 1 after pruning branches below ``1e-12``.
     """
     if product.dims != state.dims:
         raise ValueError(
             f"party dimensions {product.dims} do not match state {state.dims}")
-    branches = [(1.0, state.amps, ())]
+    tensor = state.tensor()[None]
+    labels = np.zeros((1, 0), dtype=np.intp)
     for k, channel in enumerate(product.channels):
-        new_branches = []
-        for prob, amps, labels in branches:
-            tensor = amps.reshape(state.dims)
-            moved = np.moveaxis(tensor, k, 0)
-            for idx, op in enumerate(channel.kraus):
-                flat = moved.reshape(channel.dim, -1)
-                out = np.zeros_like(flat)
-                for target, source, coeff in op.entries:
-                    out[target] += coeff * flat[source]
-                branch_prob = float(np.vdot(out, out).real)
-                if prob * branch_prob > BRANCH_PRUNE:
-                    shaped = np.moveaxis(out.reshape(moved.shape), 0, k)
-                    new_branches.append((prob * branch_prob,
-                                         shaped.reshape(-1) / math.sqrt(branch_prob),
-                                         labels + (idx,)))
-        branches = new_branches
-    total = sum(p for p, _, _ in branches)
-    if total <= 0:
+        n_kraus = len(channel.matrices)
+        tensor = _apply_on_axis(channel.matrices, tensor, k)
+        labels = np.column_stack([labels.repeat(n_kraus, axis=0),
+                                  np.tile(np.arange(n_kraus), len(labels))])
+        # the state is normalized, so a branch's squared norm is its
+        # probability
+        probs = (np.abs(tensor) ** 2).reshape(len(tensor), -1).sum(axis=1)
+        kept = probs > BRANCH_PRUNE
+        tensor, labels, probs = tensor[kept], labels[kept], probs[kept]
+    if not len(probs):
         raise ValueError("all branches vanished")
-    return [LocalBranch(p / total, PureState(state.dims, amps), labels)
-            for p, amps, labels in branches]
+    amps = tensor.reshape(len(tensor), -1) / np.sqrt(probs)[:, None]
+    return [LocalBranch(float(p), PureState(state.dims, branch),
+                        tuple(int(i) for i in label))
+            for p, branch, label in zip(probs / probs.sum(), amps, labels)]

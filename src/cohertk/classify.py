@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import (IncoherentChannel, KrausOperator, LocalChannelProduct)
+from .channels import (IncoherentChannel, KrausOperator, LocalChannelProduct,
+                       _apply_on_axis)
 from .states import AMP_TOL, PureState
 
 __all__ = [
@@ -65,15 +66,13 @@ class LiuWitness:
         return out
 
     def as_channels(self) -> LocalChannelProduct:
-        return LocalChannelProduct([
-            IncoherentChannel("IU", [KrausOperator.from_matrix(u)])
-            for u in self.unitaries()])
+        return LocalChannelProduct([IncoherentChannel("IU", [u])
+                                    for u in self.unitaries()])
 
     def apply(self, state: PureState) -> PureState:
-        tensor = state.tensor()
+        tensor = state.tensor()[None]
         for k, u in enumerate(self.unitaries()):
-            tensor = np.moveaxis(
-                np.tensordot(u, tensor, axes=([1], [k])), 0, k)
+            tensor = _apply_on_axis(u[None], tensor, k)
         return PureState(state.dims, tensor.reshape(-1))
 
 
@@ -123,37 +122,19 @@ def _solve_torus(rows, rhs, n, tol=1e-6):
         if abs(wrapped) > tol:
             return None
 
-    # Back-substitute.  A pivot coefficient m with |m| > 1 divides the
-    # torus: x = (resid + 2 pi ell) / m for ell = 0..|m|-1 are distinct
-    # mod 2 pi, so enumerate the branches (capped) and keep the first
-    # assignment satisfying every original equation.
-    order = list(reversed(pivots))
-    branch_total = 1
-    for col, row, _ in order:
-        branch_total *= abs(row[col])
-    full_search = branch_total <= 512
-
-    mat = np.array(rows, dtype=float)
-    target = np.asarray(rhs, dtype=float)
-
-    def assignments(i, x):
-        if i == len(order):
-            yield x.copy()
-            return
-        col, row, b = order[i]
-        coeff = row[col]
+    # Back-substitute.  A pivot coefficient m with |m| > 1 leaves |m|
+    # branches x = (resid + 2 pi ell) / m, but the first (ell = 0) always
+    # suffices: every echelon row is an integer combination of the
+    # original rows and vice versa (elimination used only unimodular
+    # integer row operations), so any x that satisfies the echelon rows
+    # mod 2 pi satisfies the original rows mod 2 pi.  Free columns stay 0.
+    x = np.zeros(n)
+    for col, row, b in reversed(pivots):
         resid = b - sum(row[j] * x[j] for j in range(col + 1, n) if row[j])
-        n_branches = abs(coeff) if full_search else 1
-        for ell in range(n_branches):
-            x[col] = (resid + two_pi * ell) / coeff
-            yield from assignments(i + 1, x)
-
-    for x in assignments(0, np.zeros(n)):
-        residual = mat @ x - target
-        wrapped = (residual + math.pi) % two_pi - math.pi
-        if np.max(np.abs(wrapped)) <= tol:
-            return x
-    return None
+        x[col] = resid / row[col]
+    residual = np.array(rows, dtype=float) @ x - np.asarray(rhs, dtype=float)
+    wrapped = (residual + math.pi) % two_pi - math.pi
+    return x if np.max(np.abs(wrapped)) <= tol else None
 
 
 def liu_equivalent(psi: PureState, phi: PureState, tol: float = AMP_TOL):
@@ -314,21 +295,21 @@ def _sio_instrument(mat) -> IncoherentChannel:
     completed by the diagonal square root of what remains; outcome 0 is
     the wrapped operator.
     """
-    op = KrausOperator.from_matrix(np.asarray(mat, dtype=complex))
-    if not op.is_permutation_sparse():
-        raise ValueError("witness operators must be permutation-sparse")
-    scale = max(abs(coeff) for _, _, coeff in op.entries)
-    scaled = KrausOperator(op.dim, [(t, s, coeff / scale)
-                                    for t, s, coeff in op.entries])
-    weight = np.zeros(op.dim)
-    for _, source, coeff in scaled.entries:
-        weight[source] = abs(coeff) ** 2
-    leftover = np.sqrt(np.clip(1.0 - weight, 0.0, None))
-    completion = [(i, i, leftover[i]) for i in range(op.dim)
-                  if leftover[i] > 0]
-    kraus = [scaled]
-    if completion:
-        kraus.append(KrausOperator(op.dim, completion))
+    mat = np.asarray(mat, dtype=complex)
+    hot = mat != 0
+    if (not hot.any() or (hot.sum(axis=0) > 1).any()
+            or (hot.sum(axis=1) > 1).any()):
+        raise ValueError("witness operators must be nonzero and "
+                         "permutation-sparse")
+    modulus = np.abs(mat)
+    scale = modulus.max()
+    # one entry per column at most, so each column sum is a single weight;
+    # the largest is exactly 1 and leaves no completion entry
+    leftover = np.sqrt(np.clip(1.0 - ((modulus / scale) ** 2).sum(axis=0),
+                               0.0, None))
+    kraus = [mat / scale]
+    if leftover.any():
+        kraus.append(np.diag(leftover))
     return IncoherentChannel("SIO", kraus)
 
 
@@ -433,22 +414,9 @@ def canonical_state(alpha: float, beta: complex) -> PureState:
 
 def _first_kraus_operators(ops):
     if isinstance(ops, LocalChannelProduct):
-        return [ch.kraus[0] for ch in ops.channels]
-    out = []
-    for op in ops:
-        if isinstance(op, KrausOperator):
-            out.append(op)
-        else:
-            out.append(KrausOperator.from_matrix(np.asarray(op, dtype=complex)))
-    return out
-
-
-def _apply_local_operators(mats, state: PureState) -> np.ndarray:
-    tensor = state.tensor()
-    for k, mat in enumerate(mats):
-        tensor = np.moveaxis(
-            np.tensordot(mat, tensor, axes=([1], [k])), 0, k)
-    return tensor.reshape(-1)
+        return [ch.matrices[0] for ch in ops.channels]
+    return [op.matrix() if isinstance(op, KrausOperator)
+            else np.asarray(op, dtype=complex) for op in ops]
 
 
 def verify_slicc_witness(psi: PureState, phi: PureState, ops) -> bool:
@@ -462,22 +430,26 @@ def verify_slicc_witness(psi: PureState, phi: PureState, ops) -> bool:
     to ``phi`` and the inverse image of ``phi`` proportional to ``psi``
     within global-phase-adjusted fidelity ``1 - 1e-9``.
     """
-    kraus = _first_kraus_operators(ops)
-    if len(kraus) != psi.n_parties or psi.dims != phi.dims:
+    mats = _first_kraus_operators(ops)
+    if len(mats) != psi.n_parties or psi.dims != phi.dims:
         raise ValueError("operator count does not match the party structure")
-    for k, op in enumerate(kraus):
-        if op.dim != psi.dims[k]:
+    forward, backward = psi.tensor()[None], phi.tensor()[None]
+    for k, mat in enumerate(mats):
+        if mat.shape != (psi.dims[k],) * 2:
             raise ValueError(f"operator {k} has wrong dimension")
-        if len(op.entries) != op.dim or not op.is_permutation_sparse():
+        hot = mat != 0
+        if not ((hot.sum(axis=0) == 1).all() and (hot.sum(axis=1) == 1).all()):
             raise ValueError(f"operator {k} is not invertible permutation-sparse")
-    forward = _apply_local_operators([op.matrix() for op in kraus], psi)
+        # a permutation with weights inverts entry by entry
+        inverse = np.divide(1.0, mat, out=np.zeros_like(mat), where=hot).T
+        forward = _apply_on_axis(mat[None], forward, k)
+        backward = _apply_on_axis(inverse[None], backward, k)
+    forward, backward = forward.reshape(-1), backward.reshape(-1)
     norm_f = np.linalg.norm(forward)
     if norm_f <= FIDELITY_TOL:
         return False
     if abs(np.vdot(phi.amps, forward)) / norm_f < 1.0 - FIDELITY_TOL:
         return False
-    backward = _apply_local_operators(
-        [op.inverse().matrix() for op in kraus], phi)
     norm_b = np.linalg.norm(backward)
     if norm_b <= FIDELITY_TOL:
         return False

@@ -290,6 +290,9 @@ def _cmd_volume(args):
                                  args.operation_class.upper(), args.cut,
                                  args.region)
     elif args.method == "exact":
+        if args.kind != "source":
+            raise ValueError("exact volumes cover only the source polytope; "
+                             "use --method mc for --kind accessible")
         lam = _as_spectrum(subject)
         payload = {"method": "exact", "volume": exact_polytope_volume(lam)}
     else:

@@ -1,5 +1,7 @@
 """Tests for sparse Kraus operators, channel classes, and application."""
 
+import functools
+import itertools
 import math
 from fractions import Fraction
 
@@ -218,29 +220,91 @@ def test_random_channel_classes_and_determinism():
         random_channel("LOCC", 2, 1, seed=0)
 
 
+def _expected_branches(product, state):
+    """Kron-product branches in lexicographic label order, pruned below
+    1e-12 and renormalized: (probability, state amplitudes, labels)."""
+    out = []
+    for labels in itertools.product(*[range(len(ch.matrices))
+                                      for ch in product.channels]):
+        mat = functools.reduce(np.kron, [ch.kraus[i].matrix() for ch, i
+                                         in zip(product.channels, labels)])
+        image = mat @ state.amps
+        prob = np.vdot(image, image).real
+        if prob > 1e-12:
+            out.append((prob, image / math.sqrt(prob), labels))
+    total = sum(p for p, _, _ in out)
+    return [(p / total, amps, labels) for p, amps, labels in out]
+
+
 def test_local_product_apply_matches_kron():
     rng = np.random.default_rng(21)
     amps = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    state = PureState((2, 2), amps / np.linalg.norm(amps))
-    product = LocalChannelProduct([
-        random_channel("SIO", 2, 2, seed=1),
-        random_channel("IC", 2, 3, seed=2),
-    ])
-    branches = local_product_apply(product, state)
-    assert_allclose(sum(b.probability for b in branches), 1.0, atol=1e-12)
-    for branch in branches:
-        i, j = branch.labels
-        mat = np.kron(product.channels[0].kraus[i].matrix(),
-                      product.channels[1].kraus[j].matrix())
-        image = mat @ state.amps
-        norm = np.linalg.norm(image)
-        assert norm > 0
-        fidelity = abs(np.vdot(branch.state.amps, image / norm))
-        assert_allclose(fidelity, 1.0, atol=1e-10)
-        assert_allclose(branch.probability, norm**2, atol=1e-10)
+    two_qubits = (
+        PureState((2, 2), amps / np.linalg.norm(amps)),
+        LocalChannelProduct([random_channel("SIO", 2, 2, seed=1),
+                             random_channel("IC", 2, 3, seed=2)]))
+    # (2, 3, 2) with party 0 always in |0>: every branch whose party-0
+    # operator projects onto |1> vanishes and is pruned
+    amps = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+    amps[6:] = 0.0
+    three_parties = (
+        PureState((2, 3, 2), amps / np.linalg.norm(amps)),
+        LocalChannelProduct([
+            IncoherentChannel("PIO", [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]),
+            random_channel("IC", 3, 3, seed=3),
+            random_channel("SIO", 2, 2, seed=4)]))
+    for state, product in (two_qubits, three_parties):
+        branches = local_product_apply(product, state)
+        expected = _expected_branches(product, state)
+        assert [b.labels for b in branches] == [e[2] for e in expected]
+        for branch, (prob, image, _) in zip(branches, expected):
+            assert_allclose(branch.probability, prob, atol=1e-12)
+            assert_allclose(branch.state.amps, image, atol=1e-12)
+    assert len(branches) > 1 and all(b.labels[0] == 0 for b in branches)
 
     with pytest.raises(ValueError, match="do not match"):
         local_product_apply(product, PureState((2,), [1, 0]))
+
+
+def test_dense_and_sparse_kraus_inputs_build_the_same_channel():
+    mats = random_channel("IC", 4, 3, seed=5).matrices
+    sparse = [KrausOperator(4, [(t, s, m[t, s]) for t, s in zip(*np.nonzero(m))])
+              for m in mats]
+    from_dense = IncoherentChannel("IC", list(mats))
+    from_sparse = IncoherentChannel("IC", sparse)
+    assert from_dense.kraus == from_sparse.kraus == tuple(sparse)
+    rng = np.random.default_rng(6)
+    vec = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    rho = np.outer(vec, vec.conj()) / np.vdot(vec, vec).real
+    assert np.array_equal(apply_to_density(from_dense, rho),
+                          apply_to_density(from_sparse, rho))
+    state = PureState((2, 2), vec / np.linalg.norm(vec))
+    for (p, a), (q, b) in zip(apply_to_pure(from_dense, state),
+                              apply_to_pure(from_sparse, state),
+                              strict=True):
+        assert p == q and np.array_equal(a.amps, b.amps)
+    # the stored stack is a read-only copy, and channels compare by identity
+    assert not from_dense.matrices.flags.writeable
+    source = mats.copy()
+    copied = IncoherentChannel("IC", source)
+    source[:] = 0.0
+    assert np.array_equal(copied.matrices, mats)
+    assert from_dense == from_dense and from_dense != from_sparse
+
+
+def test_incoherent_channel_keeps_its_input_checks():
+    with pytest.raises(ValueError, match="empty Kraus list"):
+        IncoherentChannel("IC", [])
+    with pytest.raises(ValueError, match="inconsistent dimensions"):
+        IncoherentChannel("IC", [np.eye(2), np.eye(3)])
+    with pytest.raises(ValueError, match="square"):
+        IncoherentChannel("IC", [np.ones((2, 3))])
+    with pytest.raises(ValueError, match="dim must be positive"):
+        IncoherentChannel("IC", [np.zeros((0, 0))])
+    with pytest.raises(ValueError, match="not an incoherent"):
+        IncoherentChannel("IC", [[[R2, R2], [R2, -R2]]])
+    with pytest.raises(ValueError, match="completeness"):
+        IncoherentChannel("IC", [np.eye(2) * 0.5])
 
 
 def test_random_ic_single_operator_is_a_phased_permutation():

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from cohertk.channels import local_product_apply
+from cohertk.channels import KrausOperator, local_product_apply
 from cohertk.classify import (
     LiuWitness,
+    _solve_torus,
     canonical_form_r4,
     canonical_state,
     liu_equivalent,
@@ -108,6 +109,19 @@ def test_liu_witness_channel_form():
     assert len(branches) == 1  # unitaries are single-branch
     assert phase_adjusted_fidelity(branches[0].state.amps,
                                    phi.amps) >= 1.0 - 1e-9
+
+
+def test_solve_torus_with_a_pivot_of_minus_two():
+    # elimination turns the second row into (0, -2): the first
+    # back-substitution branch must solve every consistent right-hand side
+    rows = [[1, 1], [1, -1]]
+    for rhs in ([0.3, 1.1], [math.pi, 0.0], [2.0, -2.5]):
+        x = _solve_torus(rows, rhs, 2)
+        residual = np.array(rows) @ x - np.array(rhs)
+        wrapped = (residual + math.pi) % (2 * math.pi) - math.pi
+        assert np.abs(wrapped).max() <= 1e-9
+    # 2 x0 = 1.4 from the first two rows, but 0 from the third
+    assert _solve_torus([[1, 1], [1, -1], [2, 0]], [0.3, 1.1, 0.0], 2) is None
 
 
 def test_liu_equivalent_search_cap():
@@ -246,6 +260,36 @@ def test_canonical_form_round_trip():
         err = min(abs(cls.invariant_r - p) for p in pair)
         assert err <= 1e-8 * max(1.0, abs(original.invariant_r))
         assert verify_slicc_witness(psi, rebuilt, form.witness)
+
+
+def test_verify_slicc_witness_accepts_every_operator_form():
+    rng = np.random.default_rng(37)
+    for _ in range(5):
+        psi = random_full_support_state(rng, (2, 2))
+        for template in witness_templates_r4(psi):
+            dense = [ch.matrices[0] for ch in template.product.channels]
+            sparse = [KrausOperator.from_matrix(m) for m in dense]
+            right = canonical_state(template.alpha, template.beta)
+            wrong = canonical_state(*_canonical_pair(template.invariant * 1.5))
+            for target, verdict in ((right, True), (wrong, False)):
+                assert [verify_slicc_witness(psi, target, ops)
+                        for ops in (template.product, dense, sparse)
+                        ] == [verdict] * 3
+
+
+def test_witness_instruments_have_no_spurious_completion():
+    # outcome 0 is scaled to largest modulus 1; the completion operator
+    # must then be exactly zero in that column
+    rng = np.random.default_rng(41)
+    for _ in range(50):
+        psi = random_full_support_state(rng, (2, 2))
+        for template in witness_templates_r4(psi):
+            for channel in template.product.channels:
+                modulus = np.abs(channel.matrices[0])
+                column = np.argmax(modulus.max(axis=0))
+                assert_allclose(modulus.max(), 1.0, atol=1e-15)
+                if len(channel.matrices) == 2:
+                    assert not channel.matrices[1][:, column].any()
 
 
 def test_verify_slicc_witness_rejects_wrong_target():

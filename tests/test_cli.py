@@ -243,6 +243,22 @@ def test_volume_exact_method(tmp_path, capsys):
     assert payload["volume"] == pytest.approx(0.2 * R2, abs=1e-12)
 
 
+def test_volume_exact_rejects_accessible_kind(tmp_path, capsys):
+    spectrum = write_json(tmp_path, "spec.json",
+                          {"spectrum": [0.4, 0.3, 0.2, 0.1]})
+    code, out, err = run_cli(capsys, "volume", "--method", "exact",
+                             "--kind", "accessible", "--state", spectrum)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert "only the source polytope" in err
+    # the source kind, explicit or by default, is served as before
+    explicit = run_cli(capsys, "volume", "--method", "exact",
+                       "--kind", "source", "--state", spectrum)
+    default = run_cli(capsys, "volume", "--method", "exact",
+                      "--state", spectrum)
+    assert explicit == default and explicit[0] == 0
+
+
 def test_volume_mc_bloch_matches_closed_form(tmp_path, capsys):
     bloch = write_json(tmp_path, "r.json", {"bloch": [0.5, 0.0, 0.3]})
     payload = run_json(capsys, "volume", "--method", "mc",
