@@ -22,6 +22,7 @@ returns the strongest label that applies.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -79,6 +80,8 @@ class KrausOperator:
             target, source, coeff = int(target), int(source), complex(coeff)
             if not (0 <= target < dim and 0 <= source < dim):
                 raise ValueError(f"entry ({target},{source}) outside dim {dim}")
+            if not cmath.isfinite(coeff):
+                raise ValueError(f"entry ({target},{source}) is not finite")
             if source in seen_sources:
                 raise ValueError(
                     f"two entries share source column {source}: "
@@ -99,6 +102,8 @@ class KrausOperator:
         arr = np.asarray(mat, dtype=complex)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("expected a square matrix")
+        if not np.isfinite(arr).all():
+            raise ValueError("matrix has a non-finite entry")
         dim = arr.shape[0]
         entries = []
         for source in range(dim):

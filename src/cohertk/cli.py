@@ -49,7 +49,7 @@ from .classify import (canonical_form_r4, liu_equivalent, slicc_class_2qubit,
 from .feasibility import (LemmaNotApplicableError, ic_pure_feasible,
                           licc_bipartite_feasible, locc_pure_feasible,
                           pio_qubit_feasible, sio_qubit_feasible)
-from .monotones import (_select_spectrum, planar_example_volumes,
+from .monotones import (STRIP_TOL, _select_spectrum, planar_example_volumes,
                         qubit_pio_Ca, qubit_pio_Cs, qubit_sio_Ca,
                         qubit_sio_Cs, source_coherence_closed)
 from .oracle import (DEFAULT_SEED, b3_b4_counterexamples, exact_polytope_volume,
@@ -58,8 +58,7 @@ from .oracle import (DEFAULT_SEED, b3_b4_counterexamples, exact_polytope_volume,
                      qubit_region_predicate, sorted_simplex_predicate)
 from .plotting import boundary_csv, figure_regions, svg_figure
 from .serialize import dumps, load_json, subject_from_dict
-from .states import (PureState, QubitBloch, bloch_from_density,
-                     dephased_spectrum, sorted_spectrum)
+from .states import PureState, QubitBloch, bloch_from_density
 
 _SEGMENT_SUP = math.sqrt(2.0) / 2.0
 
@@ -99,13 +98,11 @@ def _as_bloch(subject) -> QubitBloch:
                      '({"bloch": [rx, ry, rz]}) or single-qubit state')
 
 
-def _as_spectrum(subject):
+def _as_spectrum(subject, cls, cut):
     if isinstance(subject, QubitBloch):
         raise ValueError("this operation needs a state or spectrum, "
                          "not a Bloch vector")
-    if isinstance(subject, PureState):
-        return dephased_spectrum(subject)
-    return sorted_spectrum(subject)
+    return _select_spectrum(subject, cls, cut)
 
 
 def _emit(text: str, output):
@@ -213,18 +210,10 @@ def _qubit_closed(subject, kind, cls):
     return dataclasses.asdict(fn(subject))
 
 
-def _support_size(subject, cls, cut) -> int:
-    if isinstance(subject, PureState):
-        lam, _ = _select_spectrum(subject, cls, cut)
-    else:
-        lam = sorted_spectrum(subject)
-    return int(np.sum(np.asarray(lam) > 1e-12))
-
-
 def _planar_payload(subject, kind, cls, cut):
     va, vs, ca, cs = planar_example_volumes(subject, cls, cut=cut)
     volume, value = (va, ca) if kind == "accessible" else (vs, cs)
-    if _support_size(subject, cls, cut) == 3:
+    if np.count_nonzero(_select_spectrum(subject, cls, cut) > STRIP_TOL) == 3:
         measure, sup = "coordinate-plane", 0.5
     else:
         measure, sup = "sorted-representative", _SEGMENT_SUP
@@ -232,28 +221,20 @@ def _planar_payload(subject, kind, cls, cut):
             "sup_volume": sup, "measure": measure, "operation_class": cls}
 
 
-def _cmd_monotone(args):
-    subject = _load_subject(args.state)
-    kind = args.kind
-    cls = args.operation_class.upper()
-    if isinstance(subject, QubitBloch):
-        payload = _qubit_closed(subject, kind, cls)
-    elif kind == "source":
-        payload = dataclasses.asdict(
-            source_coherence_closed(subject, cls, cut=args.cut))
-    else:
-        # accessible coherence has closed forms only for the planar families
-        payload = _planar_payload(subject, kind, cls, args.cut)
-    _emit_json(payload, args.output)
-    return 0
-
-
-def _closed_volume(subject, kind, cls, cut, region):
+def _closed_volume(subject, kind, cls, cut, region=None):
     if isinstance(subject, QubitBloch):
         return _qubit_closed(subject, kind, cls)
+    # accessible coherence has closed forms only for the planar families
     if region == "coordinate-plane" or kind == "accessible":
         return _planar_payload(subject, kind, cls, cut)
     return dataclasses.asdict(source_coherence_closed(subject, cls, cut=cut))
+
+
+def _cmd_monotone(args):
+    payload = _closed_volume(_load_subject(args.state), args.kind,
+                             args.operation_class.upper(), args.cut)
+    _emit_json(payload, args.output)
+    return 0
 
 
 def _mc_volume_payload(subject, args, seed):
@@ -265,7 +246,7 @@ def _mc_volume_payload(subject, args, seed):
         region = make_region(region_name)
         predicate = qubit_region_predicate(subject, cls, args.kind)
     else:
-        lam = _as_spectrum(subject)
+        lam = _as_spectrum(subject, cls, args.cut)
         region_name = args.region or "simplex-sorted"
         if region_name == "simplex-sorted":
             region = make_region("simplex-sorted", dim=len(lam))
@@ -293,7 +274,7 @@ def _cmd_volume(args):
         if args.kind != "source":
             raise ValueError("exact volumes cover only the source polytope; "
                              "use --method mc for --kind accessible")
-        lam = _as_spectrum(subject)
+        lam = _as_spectrum(subject, args.operation_class.upper(), args.cut)
         payload = {"method": "exact", "volume": exact_polytope_volume(lam)}
     else:
         payload = _mc_volume_payload(subject, args, seed)

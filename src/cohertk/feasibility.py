@@ -9,8 +9,10 @@ additive slack of ``1e-10`` so that boundary points of the closed
 feasibility regions test feasible.
 
 Vectorized boolean kernels (`sio_feasible_mask`, `pio_feasible_mask`)
-back the Monte-Carlo volume oracle; the scalar predicates are thin
-wrappers around the same inequalities.
+back the Monte-Carlo volume oracle.  They restate the inequalities of
+the scalar qubit predicates, which evaluate them separately so that
+they can report the tight and violated constraints; a test checks that
+both forms give the same verdicts.
 """
 
 from __future__ import annotations

@@ -1,8 +1,9 @@
 """Closed-form accessible and source coherence.
 
 The source-coherence value of a pure state is one minus the normalized
-volume of its source set, a majorization polytope whose volume admits a
-signed sum over permutations of the sorted spectrum.  For single qubits
+volume of its source set, a majorization polytope whose volume is a
+signed sum over permutations of the sorted spectrum, evaluated by a
+positive facet recursion over its gaps.  For single qubits
 the accessible and source volumes under strictly-incoherent and
 partition-preserving operations reduce to piecewise areas in the x-z
 Bloch disc, and two small planar families (spectra of length 2 and 3)
@@ -51,7 +52,8 @@ _OPERATION_CLASSES = ("PIO", "SIO", "IC", "LSICC", "LICC")
 #: Eigenvalues at or below this are treated as exact zeros of a spectrum.
 STRIP_TOL = 1e-12
 
-#: Permutation enumeration cap (d! terms).
+#: Longest spectrum served: the pinned values and the exact
+#: permutation-sum oracle check the recursion up to this length.
 MAX_SPECTRUM_LEN = 9
 
 
@@ -101,47 +103,77 @@ def _strip_zeros(spectrum) -> np.ndarray:
     return arr[arr > STRIP_TOL]
 
 
+def _permutation_sums(spectra) -> np.ndarray:
+    """:func:`permutation_sum` of each row of an ``(N, d)`` array of
+    nonincreasing, zero-free spectra.
+
+    The source polytope is a union of pyramids with apex at the uniform
+    spectrum, one per facet, and each of the C(L, m) facets on which m
+    coordinates sum to the m largest entries is the product of the
+    polytopes of the leading m and trailing L - m entries.  So a run
+    lam_1 >= ... >= lam_L with gaps u_k = lam_k - lam_{k+1} has sum
+    S = 1 when L = 1, otherwise
+
+        S = sum_m C(L, m) C(L-2, m-1) h_m S(first m) S(last L-m),
+
+    with apex-to-facet heights h_m = sum_k u_k (min(m, k) - m k / L).
+    No factor is negative, so nothing cancels; integer weights keep the
+    recursion exact on object arrays of Fractions.
+    """
+    n, d = spectra.shape
+    gaps = spectra[:, :-1] - spectra[:, 1:]
+    k = np.arange(1, d)
+    # windows[:, k - 1, i] is gap k of the run starting at entry i (the
+    # index is clipped where no run reads)
+    windows = gaps[:, np.minimum(k[:, None] + k - 2, d - 2)]
+    mins, prods = np.minimum.outer(k, k), np.multiply.outer(k, k)
+    # S of the run of length L from entry i sits at by_start[:, L, i] and
+    # by_end[:, L, i + L], so that all leading and trailing parts of the
+    # runs of one length are plain slices
+    by_start = np.zeros((n, d + 1, d + 1), dtype=spectra.dtype)
+    by_end = np.zeros_like(by_start)
+    by_start[:, 1] = by_end[:, 1] = 1
+    for length in range(2, d + 1):
+        count = d - length + 1
+        heights = ((length * mins[:length - 1, :length - 1]
+                    - prods[:length - 1, :length - 1])
+                   @ windows[:, :length - 1, :count])
+        weights = np.array([math.comb(length, m) * math.comb(length - 2, m - 1)
+                            for m in range(1, length)])
+        sums = weights @ (heights * by_start[:, 1:length, :count]
+                          * by_end[:, length - 1:0:-1, length:]) / length
+        by_start[:, length, :count] = by_end[:, length, length:] = sums
+    return by_start[:, d, 0]
+
+
 def permutation_sum(spectrum) -> float:
-    """Signed permutation sum of a sorted spectrum.
+    """Normalized source-polytope volume of a sorted spectrum.
 
     For a nonincreasing probability vector of length d (zeros stripped
-    first), computes
+    first) this is the signed permutation sum
 
         sum over permutations pi of
             [sum_k pi(k) lam_k - (d+1)/2]^(d-1)
-            / prod_{k=1}^{d-1} (pi(k) - pi(k+1))
+            / prod_{k=1}^{d-1} (pi(k) - pi(k+1)),
 
-    which equals the source-polytope volume divided by its value at an
-    incoherent spectrum.  Terms cancel heavily near uniform spectra, so
-    the sum is accumulated with compensated summation.
+    the source-polytope volume divided by its value at an incoherent
+    spectrum.  It is evaluated by the positive facet recursion of
+    :func:`_permutation_sums` in d - 1 rounds of array operations, with
+    no cancellation near uniform spectra.
 
     Length-1 spectra return 1.0 by convention (the source set is the
-    whole simplex); lengths above 9 raise (d! term enumeration).
+    whole simplex); lengths above 9 raise.
     """
     lam = _strip_zeros(spectrum)
-    d = len(lam)
-    if d == 1:
-        return 1.0
-    if d == 2:
-        # the two-term sum collapses algebraically to lam_1 - lam_2,
-        # which avoids the cancellation against the (d+1)/2 shift
-        return float(lam[0] - lam[1])
-    if d > MAX_SPECTRUM_LEN:
-        raise ValueError(f"spectrum length {d} exceeds cap {MAX_SPECTRUM_LEN}")
-    center = (d + 1) / 2.0
-    terms = []
-    for pi in itertools.permutations(range(1, d + 1)):
-        bracket = math.fsum(pi[k] * lam[k] for k in range(d)) - center
-        denom = 1
-        for k in range(d - 1):
-            denom *= pi[k] - pi[k + 1]
-        terms.append(bracket ** (d - 1) / denom)
-    return math.fsum(terms)
+    if len(lam) > MAX_SPECTRUM_LEN:
+        raise ValueError(f"spectrum length {len(lam)} exceeds cap {MAX_SPECTRUM_LEN}")
+    return float(_permutation_sums(lam[None])[0])
 
 
 def _permutation_sum_fraction(spectrum, strip: bool = True) -> Fraction:
-    """Exact-rational permutation sum; spectrum entries must be Fractions
-    or integers summing to 1.  Private cross-check used by the volume
+    """Exact-rational permutation sum by enumerating all d! terms;
+    spectrum entries must be Fractions or integers summing to 1.  The
+    independent reference for :func:`_permutation_sums` and the volume
     oracle tests (optionally without zero stripping, where the sum is
     still well defined but no longer matches the stripped convention).
     """
@@ -171,23 +203,33 @@ def sup_source_volume(dim: int) -> float:
     return math.sqrt(dim) / (math.factorial(dim) * math.factorial(dim - 1))
 
 
-def _select_spectrum(state, operation_class: str, cut=None):
-    """Spectrum relevant to a class: dephased populations for IC/SIO,
-    Schmidt coefficients (with the diagonal-marginals precondition) for
-    LICC/LSICC.  Returns (sorted spectrum, ambient length)."""
+def _select_spectrum(subject, operation_class: str, cut=None) -> np.ndarray:
+    """Sorted spectrum relevant to an operation class.
+
+    A bare probability vector is the spectrum itself, for any known
+    class.  For a :class:`~cohertk.states.PureState` it is the dephased
+    populations under IC/SIO, or the Schmidt coefficients under
+    LICC/LSICC, which need a bipartite state with diagonal reduced
+    states and raise :class:`~cohertk.feasibility.LemmaNotApplicableError`
+    otherwise.  ``operation_class`` must be upper case.
+    """
+    if operation_class not in _OPERATION_CLASSES:
+        raise ValueError(f"unknown operation class {operation_class!r}")
+    if not isinstance(subject, PureState):
+        return sorted_spectrum(subject)
     if operation_class in ("IC", "SIO"):
-        spec = dephased_spectrum(state)
-        return spec, len(spec)
+        return dephased_spectrum(subject)
     if operation_class in ("LICC", "LSICC"):
-        if state.n_parties != 2:
+        if subject.n_parties != 2:
             raise LemmaNotApplicableError(
                 "local-incoherent path needs a bipartite state")
-        data = schmidt_spectrum(state, cut)
+        data = schmidt_spectrum(subject, cut)
         if not (data.left_diagonal and data.right_diagonal):
             raise LemmaNotApplicableError(
                 "reduced states are not diagonal in the reference basis")
-        return data.coefficients, len(data.coefficients)
-    raise ValueError(f"no closed source form for class {operation_class!r}")
+        return data.coefficients
+    raise ValueError(f"no spectrum rule for class {operation_class!r} "
+                     "on pure states")
 
 
 def source_coherence_closed(state, operation_class: str = "IC",
@@ -207,15 +249,9 @@ def source_coherence_closed(state, operation_class: str = "IC",
     the supremum ``sqrt(d)/(d! (d-1)!)`` exactly.
     """
     operation_class = operation_class.upper()
-    if isinstance(state, PureState):
-        spectrum, ambient = _select_spectrum(state, operation_class, cut)
-    else:
-        if operation_class not in _OPERATION_CLASSES:
-            raise ValueError(f"unknown operation class {operation_class!r}")
-        spectrum = sorted_spectrum(state)
-        ambient = len(spectrum)
+    spectrum = _select_spectrum(state, operation_class, cut)
     sigma = permutation_sum(spectrum)
-    sup = sup_source_volume(ambient)
+    sup = sup_source_volume(len(spectrum))
     return MonotoneValue(kind="source", value=1.0 - sigma,
                          volume=sup * sigma, sup_volume=sup,
                          measure="sorted-representative",
@@ -404,14 +440,6 @@ def _qubit_monotone(monotone: str, t, z):
 # planar example families
 
 
-def _planar_spectrum(state, operation_class, cut):
-    if isinstance(state, PureState):
-        spectrum, _ = _select_spectrum(state, operation_class.upper(), cut)
-    else:
-        spectrum = sorted_spectrum(state)
-    return spectrum
-
-
 def planar_example_volumes(state, operation_class: str = "IC", cut=None):
     """Accessible/source volumes for the planar example families.
 
@@ -428,7 +456,7 @@ def planar_example_volumes(state, operation_class: str = "IC", cut=None):
 
     Returns ``(V_a, V_s, C_a, C_s)``.
     """
-    lam = _strip_zeros(_planar_spectrum(state, operation_class, cut))
+    lam = _strip_zeros(_select_spectrum(state, operation_class.upper(), cut))
     if len(lam) == 3:
         a, b = float(lam[0]), float(lam[1])
         va = 0.5 * ((1.0 - a) ** 2 - b * b)
@@ -708,7 +736,7 @@ def region_geometry(subject, operation_class: str, kind: str) -> RegionGeometry:
         return RegionGeometry(measure="bloch-halfplane", kind=kind,
                               dimension=2, components=loops)
 
-    lam = _strip_zeros(_planar_spectrum(subject, operation_class, None))
+    lam = _strip_zeros(_select_spectrum(subject, operation_class))
     if len(lam) == 3:
         a, b = float(lam[0]), float(lam[1])
         if kind == "source":

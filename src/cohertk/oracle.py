@@ -23,10 +23,10 @@ import numpy as np
 from .channels import (_apply_kraus, _check_kraus, _random_kraus,
                        apply_to_density, apply_to_pure, random_channel)
 from .feasibility import pio_feasible_mask, sio_feasible_mask
-from .monotones import (_qubit_monotone, _sio_source_volume_mixed,
-                        _sio_source_volume_pure, permutation_sum,
-                        qubit_pio_Ca, qubit_pio_Cs, qubit_sio_Ca,
-                        qubit_sio_Cs, source_coherence_closed,
+from .monotones import (STRIP_TOL, _permutation_sums, _qubit_monotone,
+                        _sio_source_volume_mixed, _sio_source_volume_pure,
+                        permutation_sum, qubit_pio_Ca, qubit_pio_Cs,
+                        qubit_sio_Ca, qubit_sio_Cs, source_coherence_closed,
                         sup_source_volume)
 from .states import (AMP_TOL, PureState, QubitBloch, product_term_count,
                      sorted_spectrum)
@@ -521,6 +521,53 @@ def _qubit_audit_trial(monotone: str, operation_class: str, rng) -> float:
     return increase
 
 
+def _spectrum_pairs(rng, count: int):
+    """``count`` random sorted spectra of lengths 2 to 5, zero-padded to
+    length 5, and their blends toward the incoherent vertex, which
+    majorize them."""
+    lengths = rng.integers(2, 6, size=(count, 1))
+    lam = rng.standard_exponential((count, 5)) * (np.arange(5) < lengths)
+    lam /= lam.sum(axis=1, keepdims=True)
+    lam = -np.sort(-lam, axis=1)
+    blend = rng.random((count, 1))
+    return lam, blend * lam + (1.0 - blend) * np.eye(5)[0]
+
+
+def _source_closed_increases(before, after) -> np.ndarray:
+    """Increase of ``source_coherence_closed`` from each row of the
+    ``(N, d)`` array of nonincreasing spectra ``before`` to the same row
+    of ``after``.  Rows are grouped by support length, because
+    ``permutation_sum`` drops entries at or below ``STRIP_TOL``."""
+    spectra = np.concatenate([before, after])
+    support = np.count_nonzero(spectra > STRIP_TOL, axis=1)
+    sums = np.empty(len(spectra))
+    for length in np.unique(support):
+        rows = support == length
+        sums[rows] = _permutation_sums(spectra[rows, :length])
+    return sums[:len(before)] - sums[len(before):]
+
+
+def _source_closed_trials(trials: int, rng) -> np.ndarray:
+    """Increases of ``source-closed`` over ``trials`` random (spectrum,
+    majorizing target) trials."""
+    increases = np.empty(trials)
+    for start in range(0, trials, _TRIAL_BLOCK):
+        block = _spectrum_pairs(rng, min(_TRIAL_BLOCK, trials - start))
+        increases[start:start + len(block[0])] = _source_closed_increases(*block)
+    return increases
+
+
+def _source_closed_audit_trial(operation_class: str, rng) -> float:
+    """One trial through ``source_coherence_closed``, checked against the
+    batched kernel."""
+    lam, target = _spectrum_pairs(rng, 1)
+    increase = (source_coherence_closed(target[0], operation_class).value
+                - source_coherence_closed(lam[0], operation_class).value)
+    _audit(increase, _source_closed_increases(lam, target)[0],
+           f"source-closed/{operation_class}")
+    return increase
+
+
 def monotonicity_suite(monotone: str, operation_class: str, trials: int,
                        seed: int = DEFAULT_SEED) -> MonotonicityReport:
     """Random trials of "free channels never increase the monotone".
@@ -533,10 +580,10 @@ def monotonicity_suite(monotone: str, operation_class: str, trials: int,
     against random feasible pure-state targets (interpolations toward
     the incoherent vertex, which majorize the source spectrum).
 
-    The qubit trials run batched; one of them also runs through the
-    public functions, which must agree with the batched kernels within
-    1e-12.  The report carries the largest observed increase and the
-    count of increases above 1e-8.
+    The trials run batched; one of them also runs through the public
+    functions, which must agree with the batched kernels within 1e-12.
+    The report carries the largest observed increase and the count of
+    increases above 1e-8.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -547,33 +594,19 @@ def monotonicity_suite(monotone: str, operation_class: str, trials: int,
         if operation_class not in ("SIO", "IC", "LICC", "LSICC"):
             raise ValueError(
                 f"source-closed is not claimed monotone under {operation_class!r}")
-        worst = -math.inf
-        violations = 0
-        for _ in range(trials):
-            d = int(rng.integers(2, 6))
-            lam = rng.standard_exponential(d)
-            lam /= lam.sum()
-            lam[::-1].sort()
-            blend = rng.random()
-            target = blend * lam + (1.0 - blend) * np.eye(d)[0]
-            before = source_coherence_closed(lam, operation_class).value
-            after = source_coherence_closed(target, operation_class).value
-            increase = after - before
-            worst = max(worst, increase)
-            if increase > _MONOTONICITY_TOL:
-                violations += 1
-        return MonotonicityReport(monotone, operation_class, trials, seed,
-                                  _MONOTONICITY_TOL, worst, violations)
-
-    if monotone not in _QUBIT_MONOTONES:
-        raise ValueError(f"unknown monotone {monotone!r}")
-    if monotone.startswith("pio") and operation_class not in ("IU", "PIO"):
-        raise ValueError(
-            "partition-preserving monotones are claimed only under IU/PIO")
-    if operation_class not in _KRAUS_RANGE:
-        raise ValueError(f"unknown operation class {operation_class!r}")
-    increases = np.append(_qubit_trials(monotone, operation_class, trials - 1, rng),
-                          _qubit_audit_trial(monotone, operation_class, rng))
+        increases = np.append(_source_closed_trials(trials - 1, rng),
+                              _source_closed_audit_trial(operation_class, rng))
+    else:
+        if monotone not in _QUBIT_MONOTONES:
+            raise ValueError(f"unknown monotone {monotone!r}")
+        if monotone.startswith("pio") and operation_class not in ("IU", "PIO"):
+            raise ValueError(
+                "partition-preserving monotones are claimed only under IU/PIO")
+        if operation_class not in _KRAUS_RANGE:
+            raise ValueError(f"unknown operation class {operation_class!r}")
+        increases = np.append(
+            _qubit_trials(monotone, operation_class, trials - 1, rng),
+            _qubit_audit_trial(monotone, operation_class, rng))
     return MonotonicityReport(monotone, operation_class, trials, seed,
                               _MONOTONICITY_TOL, float(increases.max()),
                               int(np.count_nonzero(increases > _MONOTONICITY_TOL)))

@@ -67,6 +67,16 @@ def test_kraus_from_matrix_enforces_column_sparsity():
     assert op.entries == ((0, 1, 1.0),)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                 complex(0.5, math.nan)])
+def test_kraus_operator_rejects_non_finite_entries(bad):
+    # abs(nan) > tol is false, so a NaN used to be dropped as a zero
+    with pytest.raises(ValueError, match="non-finite"):
+        KrausOperator.from_matrix([[bad, 0], [0, 1]])
+    with pytest.raises(ValueError, match="not finite"):
+        KrausOperator(2, [(0, 0, bad)])
+
+
 def test_kraus_matrix_and_apply_agree():
     rng = np.random.default_rng(4)
     op = KrausOperator(3, [(1, 0, 0.3 + 0.4j), (1, 1, 0.5), (0, 2, -0.2j)])

@@ -242,6 +242,17 @@ def test_volume_exact_method(tmp_path, capsys):
     assert payload["method"] == "exact"
     assert payload["volume"] == pytest.approx(0.2 * R2, abs=1e-12)
 
+    # LICC reads the Schmidt coefficients (0.64, 0.36), not the dephased
+    # spectrum, on the exact path as on the closed one
+    state = write_json(tmp_path, "psi.json",
+                       {"dims": [2, 2], "amps": [[0.8, 0.0], [0.0, 0.0],
+                                                 [0.0, 0.0], [0.6, 0.0]]})
+    exact = run_json(capsys, "volume", "--method", "exact",
+                     "--class", "LICC", "--state", state)
+    closed = run_json(capsys, "volume", "--method", "closed",
+                      "--class", "LICC", "--state", state)
+    assert exact["volume"] == pytest.approx(closed["volume"], abs=1e-12)
+
 
 def test_volume_exact_rejects_accessible_kind(tmp_path, capsys):
     spectrum = write_json(tmp_path, "spec.json",
@@ -439,12 +450,18 @@ def test_bad_seed_environment_exits_1(tmp_path, capsys, monkeypatch):
     ["counterexample", "--step", "0"],
     ["counterexample", "--step", "-1"],
     ["monotone", "--kind", "source", "--class", "SIO", "--state", "NAN"],
+    ["volume", "--method", "exact", "--class", "FOO", "--state", "SPEC"],
+    ["volume", "--method", "mc", "--class", "FOO", "--samples", "1000",
+     "--state", "SPEC"],
+    ["monotone", "--kind", "accessible", "--class", "FOO", "--state", "SPEC"],
 ])
 def test_out_of_range_input_exits_1(tmp_path, capsys, argv):
     # dumps would write NaN as null, so the file is written by hand
     nan_bloch = tmp_path / "nan.json"
     nan_bloch.write_text('{"bloch": [NaN, 0, 0.2]}', encoding="utf-8")
-    argv = [str(nan_bloch) if arg == "NAN" else arg for arg in argv]
+    spectrum = write_json(tmp_path, "spec.json", {"spectrum": [0.5, 0.3, 0.2]})
+    argv = [{"NAN": str(nan_bloch), "SPEC": spectrum}.get(arg, arg)
+            for arg in argv]
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
     assert out == ""

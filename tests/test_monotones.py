@@ -11,6 +11,7 @@ from cohertk.feasibility import LemmaNotApplicableError
 from cohertk.monotones import (
     MonotoneValue,
     _permutation_sum_fraction,
+    _permutation_sums,
     permutation_sum,
     planar_example_volumes,
     qubit_pio_Ca,
@@ -28,17 +29,55 @@ PIO_SUP = 1.0 + RT(2.0)
 
 
 # ---------------------------------------------------------------------------
-# signed permutation sums
+# permutation sums
 
 
 def test_permutation_sum_pinned_values():
     assert_allclose(permutation_sum([0.6, 0.4]), 0.2, atol=1e-15)
     assert_allclose(permutation_sum([0.5, 1 / 3, 1 / 6]), 1 / 6, atol=1e-15)
-    for d in (2, 3, 4, 5):
+    for d in range(2, 10):
         assert_allclose(permutation_sum(np.full(d, 1 / d)), 0.0, atol=1e-12)
         basis = np.zeros(d)
         basis[0] = 1.0
         assert_allclose(permutation_sum(basis), 1.0, atol=1e-12)
+
+
+def _dyadic_spectrum(d, pattern):
+    """Entries k / 2^40, exact in floats and summing to exactly 1, built
+    from the bottom up out of a gap pattern."""
+    rng = np.random.default_rng(d)
+    gaps = {"random": rng.integers(0, 2**34, size=d - 1),
+            "tied": rng.integers(0, 2, size=d - 1) * 2**33,
+            "multi-scale": [2**(35 - 5 * j) for j in range(d - 1)]}[pattern]
+    unit = 2**40
+    weighted = sum(int(u) * (j + 1) for j, u in enumerate(gaps))
+    entries = [(unit - weighted) // d]
+    for u in reversed(gaps):
+        entries.insert(0, entries[0] + int(u))
+    entries[0] += unit - sum(entries)
+    return [Fraction(k, unit) for k in entries]
+
+
+@pytest.mark.parametrize("d, pattern", [
+    (d, pattern) for d in range(2, 8)
+    for pattern in ("random", "tied", "multi-scale")] + [(8, "multi-scale")])
+def test_permutation_sum_matches_the_exact_enumeration(d, pattern):
+    lam = _dyadic_spectrum(d, pattern)
+    exact = _permutation_sum_fraction(lam)
+    # the recursion itself is exact: in Fractions it gives the d!-term sum
+    assert _permutation_sums(np.array([lam], dtype=object))[0] == exact
+    floats = [float(x) for x in lam]
+    assert math.fsum(floats) == 1.0
+    assert_allclose(permutation_sum(floats), float(exact), rtol=1e-14, atol=0)
+
+
+def test_permutation_sum_near_uniform_has_no_cancellation():
+    # the float entries sum to exactly 1; the d!-term float sum was off
+    # by 3e-9 relative here
+    lam = [0.2500001, 0.25, 0.25, 0.2499999]
+    assert math.fsum(lam) == 1.0
+    exact = _permutation_sum_fraction([Fraction(x) for x in lam])
+    assert_allclose(permutation_sum(lam), float(exact), rtol=1e-14, atol=0)
 
 
 def test_permutation_sum_strips_zeros():

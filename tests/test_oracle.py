@@ -8,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from cohertk.feasibility import pio_feasible_mask, sio_feasible_mask
+from cohertk import monotones
 from cohertk.monotones import (
     _permutation_sum_fraction,
     permutation_sum,
@@ -15,12 +16,15 @@ from cohertk.monotones import (
     qubit_pio_Ca,
     qubit_sio_Ca,
     qubit_sio_Cs,
+    source_coherence_closed,
     sup_source_volume,
 )
 from cohertk import oracle
 from cohertk.oracle import (
     DEFAULT_SEED,
     _qubit_trials,
+    _source_closed_increases,
+    _spectrum_pairs,
     b3_b4_counterexamples,
     coordinate_plane_predicate,
     exact_polytope_volume,
@@ -277,6 +281,27 @@ def test_batched_trials_find_increases_of_an_unclaimed_pair():
     assert increases.shape == (2000,)
     assert np.count_nonzero(increases > 1e-8) > 0
 
+    # blending toward the uniform spectrum, not the incoherent vertex,
+    # raises the source coherence
+    rng = np.random.default_rng(DEFAULT_SEED)
+    lam, _ = _spectrum_pairs(rng, 2000)
+    blend = rng.random((2000, 1))
+    increases = _source_closed_increases(lam, blend * lam + (1.0 - blend) / 5)
+    assert np.count_nonzero(increases > 1e-8) > 0
+
+
+def test_batched_source_values_match_the_public_path():
+    # rows whose supports differ in length, by exact and near zeros
+    rng = np.random.default_rng(5)
+    rows = [[0.6, 0.4, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0, 0.0],
+            [0.25] * 4 + [0.0], [0.5, 0.3, 0.2, 1e-13, 0.0]]
+    rows += [list(row) for row in _spectrum_pairs(rng, 8)[1]]
+    # every row moved to the incoherent vertex loses all its coherence
+    expected = [-source_coherence_closed(row).value for row in rows]
+    incoherent = np.eye(5)[[0] * len(rows)]
+    assert_allclose(_source_closed_increases(np.array(rows), incoherent),
+                    expected, rtol=0, atol=1e-15)
+
 
 def test_suites_audit_the_batched_kernels(monkeypatch):
     # the audit trial runs through the public functions, so a batched
@@ -284,6 +309,10 @@ def test_suites_audit_the_batched_kernels(monkeypatch):
     monkeypatch.setitem(oracle._QUBIT_MONOTONES, "sio-Ca", qubit_sio_Cs)
     with pytest.raises(RuntimeError, match="sio-Ca/SIO"):
         monotonicity_suite("sio-Ca", "SIO", 5, seed=1)
+    monkeypatch.setattr(oracle, "_permutation_sums",
+                        lambda spectra: 0.5 * monotones._permutation_sums(spectra))
+    with pytest.raises(RuntimeError, match="source-closed/LICC"):
+        monotonicity_suite("source-closed", "LICC", 5, seed=1)
     monkeypatch.setattr(oracle, "apply_to_pure", lambda channel, state: [
         (p / 2, branch) for p, branch in apply_to_pure(channel, state)])
     with pytest.raises(RuntimeError, match="lemma1"):
