@@ -38,7 +38,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 
@@ -46,21 +45,18 @@ import numpy as np
 
 from .classify import (canonical_form_r4, liu_equivalent, slicc_class_2qubit,
                        slicc_equivalent_2qubit)
-from .feasibility import (LemmaNotApplicableError, ic_pure_feasible,
-                          licc_bipartite_feasible, locc_pure_feasible,
-                          pio_qubit_feasible, sio_qubit_feasible)
-from .monotones import (STRIP_TOL, _select_spectrum, planar_example_volumes,
-                        qubit_pio_Ca, qubit_pio_Cs, qubit_sio_Ca,
-                        qubit_sio_Cs, source_coherence_closed)
+from .feasibility import (_QUBIT_FAMILY, LemmaNotApplicableError,
+                          ic_pure_feasible, licc_bipartite_feasible,
+                          locc_pure_feasible, pio_qubit_feasible,
+                          sio_qubit_feasible)
+from .monotones import _closed_monotone, _select_spectrum
 from .oracle import (DEFAULT_SEED, b3_b4_counterexamples, exact_polytope_volume,
                      coordinate_plane_predicate, formula_identity_check,
                      lemma1_suite, make_region, mc_volume, monotonicity_suite,
                      qubit_region_predicate, sorted_simplex_predicate)
-from .plotting import boundary_csv, figure_regions, svg_figure
+from .plotting import _FIGURE_CLASSES, boundary_csv, figure_regions, svg_figure
 from .serialize import dumps, load_json, subject_from_dict
 from .states import PureState, QubitBloch, bloch_from_density
-
-_SEGMENT_SUP = math.sqrt(2.0) / 2.0
 
 
 class _Parser(argparse.ArgumentParser):
@@ -168,17 +164,13 @@ def _cmd_feasible(args):
     source = _load_subject(args.source)
     target = _load_subject(args.target)
     cls = args.operation_class.upper()
-    if cls in ("SIO", "PIO"):
-        r, s = _as_bloch(source), _as_bloch(target)
-        fn = pio_qubit_feasible if cls == "PIO" else sio_qubit_feasible
-        verdict = fn(r, s)
-    elif cls == "IC":
-        if isinstance(source, PureState) and isinstance(target, PureState):
-            verdict = ic_pure_feasible(source, target)
-        else:
-            # Qubit SIO and IC admit the same state transformations, so
-            # Bloch-vector subjects reuse the SIO criterion.
-            verdict = sio_qubit_feasible(_as_bloch(source), _as_bloch(target))
+    if (cls == "IC" and isinstance(source, PureState)
+            and isinstance(target, PureState)):
+        verdict = ic_pure_feasible(source, target)
+    elif cls in _QUBIT_FAMILY:
+        fn = (sio_qubit_feasible if _QUBIT_FAMILY[cls] == "SIO"
+              else pio_qubit_feasible)
+        verdict = fn(_as_bloch(source), _as_bloch(target))
     elif cls == "LOCC":
         verdict = locc_pure_feasible(source, target, cut=args.cut)
     elif cls == "LICC":
@@ -191,49 +183,10 @@ def _cmd_feasible(args):
     return 0
 
 
-_QUBIT_CLOSED = {
-    ("accessible", "SIO"): qubit_sio_Ca,
-    ("accessible", "IC"): qubit_sio_Ca,
-    ("source", "SIO"): qubit_sio_Cs,
-    ("source", "IC"): qubit_sio_Cs,
-    ("accessible", "PIO"): qubit_pio_Ca,
-    ("source", "PIO"): qubit_pio_Cs,
-}
-
-
-def _qubit_closed(subject, kind, cls):
-    try:
-        fn = _QUBIT_CLOSED[(kind, cls)]
-    except KeyError:
-        raise ValueError(
-            f"no closed qubit form for kind={kind!r} class={cls!r}") from None
-    return dataclasses.asdict(fn(subject))
-
-
-def _planar_payload(subject, kind, cls, cut):
-    va, vs, ca, cs = planar_example_volumes(subject, cls, cut=cut)
-    volume, value = (va, ca) if kind == "accessible" else (vs, cs)
-    if np.count_nonzero(_select_spectrum(subject, cls, cut) > STRIP_TOL) == 3:
-        measure, sup = "coordinate-plane", 0.5
-    else:
-        measure, sup = "sorted-representative", _SEGMENT_SUP
-    return {"kind": kind, "value": value, "volume": volume,
-            "sup_volume": sup, "measure": measure, "operation_class": cls}
-
-
-def _closed_volume(subject, kind, cls, cut, region=None):
-    if isinstance(subject, QubitBloch):
-        return _qubit_closed(subject, kind, cls)
-    # accessible coherence has closed forms only for the planar families
-    if region == "coordinate-plane" or kind == "accessible":
-        return _planar_payload(subject, kind, cls, cut)
-    return dataclasses.asdict(source_coherence_closed(subject, cls, cut=cut))
-
-
 def _cmd_monotone(args):
-    payload = _closed_volume(_load_subject(args.state), args.kind,
-                             args.operation_class.upper(), args.cut)
-    _emit_json(payload, args.output)
+    value = _closed_monotone(_load_subject(args.state), args.kind,
+                             args.operation_class, args.cut)
+    _emit_json(dataclasses.asdict(value), args.output)
     return 0
 
 
@@ -267,9 +220,9 @@ def _cmd_volume(args):
     subject = _load_subject(args.state)
     seed = _resolve_seed(args.seed)
     if args.method == "closed":
-        payload = _closed_volume(subject, args.kind,
-                                 args.operation_class.upper(), args.cut,
-                                 args.region)
+        payload = dataclasses.asdict(_closed_monotone(
+            subject, args.kind, args.operation_class, args.cut,
+            planar=args.region == "coordinate-plane"))
     elif args.method == "exact":
         if args.kind != "source":
             raise ValueError("exact volumes cover only the source polytope; "
@@ -311,20 +264,15 @@ def _cmd_plot(args):
     if args.format == "csv":
         _emit(boundary_csv(regions), args.output)
         return 0
-    metadata = {}
-    if args.figure in ("qutrit", "two-level"):
-        va, vs, ca, cs = planar_example_volumes(subject)
-        metadata.update({"accessible_volume": va, "source_volume": vs,
-                         "accessible_value": ca, "source_value": cs})
-    else:
-        r = _as_bloch(subject)
-        ca_fn, cs_fn = ((qubit_sio_Ca, qubit_sio_Cs)
-                        if args.figure == "qubit-sio"
-                        else (qubit_pio_Ca, qubit_pio_Cs))
-        metadata.update({"accessible_volume": ca_fn(r).volume,
-                         "source_volume": cs_fn(r).volume,
-                         "accessible_value": ca_fn(r).value,
-                         "source_value": cs_fn(r).value})
+    if args.figure.startswith("qubit-"):
+        subject = _as_bloch(subject)
+    accessible, source = (
+        _closed_monotone(subject, kind, _FIGURE_CLASSES[args.figure],
+                         planar=True) for kind in ("accessible", "source"))
+    metadata = {"accessible_volume": accessible.volume,
+                "source_volume": source.volume,
+                "accessible_value": accessible.value,
+                "source_value": source.value}
     _emit(svg_figure(args.figure, regions, metadata), args.output)
     return 0
 

@@ -8,11 +8,11 @@ the tight or violated constraints, and all inequality tests use an
 additive slack of ``1e-10`` so that boundary points of the closed
 feasibility regions test feasible.
 
-Vectorized boolean kernels (`sio_feasible_mask`, `pio_feasible_mask`)
-back the Monte-Carlo volume oracle.  They restate the inequalities of
-the scalar qubit predicates, which evaluate them separately so that
-they can report the tight and violated constraints; a test checks that
-both forms give the same verdicts.
+Each qubit criterion is written once, as a list of named inequalities.
+The scalar qubit predicates read the tight and violated constraints off
+that list, and the vectorized boolean kernels (`sio_feasible_mask`,
+`pio_feasible_mask`) that back the Monte-Carlo volume oracle test the
+same list on whole batches.
 """
 
 from __future__ import annotations
@@ -152,15 +152,56 @@ def licc_bipartite_feasible(psi: PureState, phi: PureState) -> FeasibilityVerdic
     return majorization_verdict(data_phi.coefficients, data_psi.coefficients)
 
 
-def _tag(binding, name, lhs, rhs, feasible_so_far):
-    """Append tight/violated diagnostics for constraint lhs <= rhs."""
-    gap = rhs - lhs
-    if gap < -SLACK:
-        binding.append(f"{name}: violated by {-gap:.3g}")
-        return False
-    if gap <= SLACK:
-        binding.append(f"{name}: tight")
-    return feasible_so_far
+#: The class whose qubit criterion, forms and regions each class uses:
+#: qubit SIO and IC admit the same state transformations.
+_QUBIT_FAMILY = {"SIO": "SIO", "IC": "SIO", "PIO": "PIO"}
+
+
+# Each qubit criterion is a list of inequalities (name, lhs, rhs), read
+# lhs <= rhs, over the squared transverse radius and height of source
+# and target, as floats or arrays.  The SIO and PIO lists assume the
+# source is off the z axis; a source on the axis reaches exactly the axis.
+
+
+def _z_axis_constraints(src_t2, src_z, dst_t2, dst_z):
+    return (("degenerate-transverse", dst_t2, 0.0),)
+
+
+def _sio_constraints(src_t2, src_z, dst_t2, dst_z):
+    return (("transverse", dst_t2, src_t2),
+            ("ellipse", (1.0 - src_z**2) * dst_t2 / src_t2 + dst_z**2, 1.0))
+
+
+def _pio_constraints(src_t2, src_z, dst_t2, dst_z):
+    shrink = (1.0 - abs(src_z)) ** 2
+    ratio = dst_t2 / src_t2
+    return (("transverse", dst_t2, src_t2),
+            ("upper-cone", ratio * shrink, (1.0 - dst_z) ** 2),
+            ("lower-cone", ratio * shrink, (1.0 + dst_z) ** 2))
+
+
+def _qubit_verdict(constraints, r: QubitBloch, s: QubitBloch) -> FeasibilityVerdict:
+    """Verdict of ``r -> s`` with its tight or violated constraints."""
+    if r.transverse_sq <= SLACK:
+        constraints = _z_axis_constraints
+    gaps = [(name, rhs - lhs) for name, lhs, rhs in
+            constraints(r.transverse_sq, r.r_z, s.transverse_sq, s.r_z)]
+    binding = [f"{name}: violated by {-gap:.3g}" if gap < -SLACK
+               else f"{name}: tight" for name, gap in gaps if gap <= SLACK]
+    return FeasibilityVerdict(not any(gap < -SLACK for _, gap in gaps),
+                              tuple(binding))
+
+
+def _qubit_mask(constraints, src_t2, src_z, dst_t2, dst_z):
+    """Where ``src -> dst`` holds under a constraint list (broadcast)."""
+    src_t2, src_z, dst_t2, dst_z = np.broadcast_arrays(
+        *(np.asarray(a, dtype=float) for a in (src_t2, src_z, dst_t2, dst_z)))
+    degenerate = src_t2 <= SLACK
+    safe = np.where(degenerate, 1.0, src_t2)
+    holds = [np.logical_and.reduce([lhs <= rhs + SLACK for _, lhs, rhs
+                                    in rows(safe, src_z, dst_t2, dst_z)])
+             for rows in (_z_axis_constraints, constraints)]
+    return np.where(degenerate, *holds)
 
 
 def sio_qubit_feasible(r: QubitBloch, s: QubitBloch) -> FeasibilityVerdict:
@@ -178,15 +219,7 @@ def sio_qubit_feasible(r: QubitBloch, s: QubitBloch) -> FeasibilityVerdict:
     A source on the z axis (no transverse part) can reach exactly the
     z axis.
     """
-    t2r, t2s = r.transverse_sq, s.transverse_sq
-    binding = []
-    if t2r <= SLACK:
-        ok = _tag(binding, "degenerate-transverse", t2s, 0.0, True)
-        return FeasibilityVerdict(ok, tuple(binding))
-    ok = _tag(binding, "transverse", t2s, t2r, True)
-    ok = _tag(binding, "ellipse",
-              (1.0 - r.r_z**2) * t2s / t2r + s.r_z**2, 1.0, ok)
-    return FeasibilityVerdict(ok, tuple(binding))
+    return _qubit_verdict(_sio_constraints, r, s)
 
 
 def pio_qubit_feasible(r: QubitBloch, s: QubitBloch) -> FeasibilityVerdict:
@@ -204,17 +237,7 @@ def pio_qubit_feasible(r: QubitBloch, s: QubitBloch) -> FeasibilityVerdict:
 
     The same degenerate z-axis rule as the SIO test applies.
     """
-    t2r, t2s = r.transverse_sq, s.transverse_sq
-    binding = []
-    if t2r <= SLACK:
-        ok = _tag(binding, "degenerate-transverse", t2s, 0.0, True)
-        return FeasibilityVerdict(ok, tuple(binding))
-    shrink = (1.0 - abs(r.r_z)) ** 2
-    ratio = t2s / t2r
-    ok = _tag(binding, "transverse", t2s, t2r, True)
-    ok = _tag(binding, "upper-cone", ratio * shrink, (1.0 - s.r_z) ** 2, ok)
-    ok = _tag(binding, "lower-cone", ratio * shrink, (1.0 + s.r_z) ** 2, ok)
-    return FeasibilityVerdict(ok, tuple(binding))
+    return _qubit_verdict(_pio_constraints, r, s)
 
 
 def sio_feasible_mask(src_t2, src_z, dst_t2, dst_z):
@@ -224,25 +247,10 @@ def sio_feasible_mask(src_t2, src_z, dst_t2, dst_z):
     "source (src) converts to target (dst)".  Used by the Monte-Carlo
     volume oracle, where either role may be the sampled batch.
     """
-    src_t2, src_z, dst_t2, dst_z = np.broadcast_arrays(
-        *(np.asarray(a, dtype=float) for a in (src_t2, src_z, dst_t2, dst_z)))
-    degenerate = src_t2 <= SLACK
-    safe = np.where(degenerate, 1.0, src_t2)
-    transverse = dst_t2 <= src_t2 + SLACK
-    ellipse = (1.0 - src_z**2) * dst_t2 / safe + dst_z**2 <= 1.0 + SLACK
-    return np.where(degenerate, dst_t2 <= SLACK, transverse & ellipse)
+    return _qubit_mask(_sio_constraints, src_t2, src_z, dst_t2, dst_z)
 
 
 def pio_feasible_mask(src_t2, src_z, dst_t2, dst_z):
     """Vectorized boolean form of the PIO qubit criterion (see
     :func:`pio_qubit_feasible`)."""
-    src_t2, src_z, dst_t2, dst_z = np.broadcast_arrays(
-        *(np.asarray(a, dtype=float) for a in (src_t2, src_z, dst_t2, dst_z)))
-    degenerate = src_t2 <= SLACK
-    safe = np.where(degenerate, 1.0, src_t2)
-    shrink = (1.0 - np.abs(src_z)) ** 2
-    ratio = dst_t2 / safe
-    transverse = dst_t2 <= src_t2 + SLACK
-    upper = ratio * shrink <= (1.0 - dst_z) ** 2 + SLACK
-    lower = ratio * shrink <= (1.0 + dst_z) ** 2 + SLACK
-    return np.where(degenerate, dst_t2 <= SLACK, transverse & upper & lower)
+    return _qubit_mask(_pio_constraints, src_t2, src_z, dst_t2, dst_z)

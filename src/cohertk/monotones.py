@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .feasibility import LemmaNotApplicableError
+from .feasibility import _QUBIT_FAMILY, LemmaNotApplicableError
 from .states import (PureState, QubitBloch, dephased_spectrum,
                      schmidt_spectrum, sorted_spectrum)
 
@@ -86,12 +86,15 @@ class MonotoneValue:
             raise ValueError(f"unknown operation class {self.operation_class!r}")
         if not self.sup_volume > 0:
             raise ValueError("sup_volume must be positive")
-        if self.kind == "accessible":
-            expected = self.volume / self.sup_volume
-        else:
-            expected = 1.0 - self.volume / self.sup_volume
-        if abs(self.value - expected) > 1e-12:
+        if abs(self.value - _normalized(self.kind, self.volume,
+                                        self.sup_volume)) > 1e-12:
             raise ValueError("value does not match volume / sup_volume")
+
+
+def _normalized(kind: str, volume, sup):
+    """``volume / sup`` for accessible kind, ``1 - volume / sup`` for
+    source kind."""
+    return volume / sup if kind == "accessible" else 1.0 - volume / sup
 
 
 # ---------------------------------------------------------------------------
@@ -207,29 +210,30 @@ def _select_spectrum(subject, operation_class: str, cut=None) -> np.ndarray:
     """Sorted spectrum relevant to an operation class.
 
     A bare probability vector is the spectrum itself, for any known
-    class.  For a :class:`~cohertk.states.PureState` it is the dephased
-    populations under IC/SIO, or the Schmidt coefficients under
+    class but PIO.  For a :class:`~cohertk.states.PureState` it is the
+    dephased populations under IC/SIO, or the Schmidt coefficients under
     LICC/LSICC, which need a bipartite state with diagonal reduced
     states and raise :class:`~cohertk.feasibility.LemmaNotApplicableError`
     otherwise.  ``operation_class`` must be upper case.
     """
     if operation_class not in _OPERATION_CLASSES:
         raise ValueError(f"unknown operation class {operation_class!r}")
+    if operation_class == "PIO":
+        # majorization alone does not govern pure-state PIO conversions
+        subjects = "pure states" if isinstance(subject, PureState) else "spectra"
+        raise ValueError(f"no spectrum rule for class 'PIO' on {subjects}")
     if not isinstance(subject, PureState):
         return sorted_spectrum(subject)
     if operation_class in ("IC", "SIO"):
         return dephased_spectrum(subject)
-    if operation_class in ("LICC", "LSICC"):
-        if subject.n_parties != 2:
-            raise LemmaNotApplicableError(
-                "local-incoherent path needs a bipartite state")
-        data = schmidt_spectrum(subject, cut)
-        if not (data.left_diagonal and data.right_diagonal):
-            raise LemmaNotApplicableError(
-                "reduced states are not diagonal in the reference basis")
-        return data.coefficients
-    raise ValueError(f"no spectrum rule for class {operation_class!r} "
-                     "on pure states")
+    if subject.n_parties != 2:
+        raise LemmaNotApplicableError(
+            "local-incoherent path needs a bipartite state")
+    data = schmidt_spectrum(subject, cut)
+    if not (data.left_diagonal and data.right_diagonal):
+        raise LemmaNotApplicableError(
+            "reduced states are not diagonal in the reference basis")
+    return data.coefficients
 
 
 def source_coherence_closed(state, operation_class: str = "IC",
@@ -260,12 +264,6 @@ def source_coherence_closed(state, operation_class: str = "IC",
 
 # ---------------------------------------------------------------------------
 # single-qubit closed forms (x-z Bloch disc areas)
-
-
-def _coerce_bloch(r) -> QubitBloch:
-    if isinstance(r, QubitBloch):
-        return r
-    return QubitBloch(*r)
 
 
 def _sio_accessible_volume(t, z):
@@ -304,42 +302,16 @@ def _sio_source_volume_pure(z):
     return 2.0 * np.arcsin(az) - 2.0 * az * np.sqrt(1.0 - az * az)
 
 
-def qubit_sio_Ca(r) -> MonotoneValue:
-    """Accessible coherence of a qubit under SIO (equivalently IC).
-
-    The accessible region of a Bloch vector with transverse radius
-    t = sqrt(r_x^2 + r_y^2) is the central strip |x| <= t of the
-    ellipse x^2 (1 - r_z^2)/t^2 + z^2 = 1; its area divided by the
-    disc area pi is the monotone.  States on the z axis (t = 0) have
-    value 0.
-    """
-    r = _coerce_bloch(r)
-    volume = float(_sio_accessible_volume(math.sqrt(r.transverse_sq), r.r_z))
-    return MonotoneValue(kind="accessible", value=volume / math.pi,
-                         volume=volume, sup_volume=math.pi,
-                         measure="bloch-halfplane", operation_class="SIO")
-
-
-def qubit_sio_Cs(r) -> MonotoneValue:
-    """Source coherence of a qubit under SIO (equivalently IC).
-
-    Piecewise in the Bloch ball: strictly mixed states use the
-    strip-and-ellipse exclusion area; states on the pure boundary
-    (|r|^2 = 1 within 1e-12) use the side-caps convention, under which
-    source and accessible coherence agree on pure states.
-    """
-    r = _coerce_bloch(r)
-    t = math.sqrt(r.transverse_sq)
-    if r.is_pure():
-        volume = float(_sio_source_volume_pure(r.r_z))
-    else:
-        volume = float(_sio_source_volume_mixed(t, r.r_z))
-    return MonotoneValue(kind="source", value=1.0 - volume / math.pi,
-                         volume=volume, sup_volume=math.pi,
-                         measure="bloch-halfplane", operation_class="SIO")
-
-
-_PIO_SUP_ACCESSIBLE = 1.0 + math.sqrt(2.0)
+def _sio_source_volume(t, z):
+    """Source area under strictly/fully incoherent qubit operations: the
+    side caps on the pure boundary (|t^2 + z^2 - 1| <= 1e-12, as
+    ``QubitBloch.is_pure``), the mixed-state area elsewhere.  Vectorized;
+    a single point evaluates only its own branch."""
+    pure = abs(t * t + z * z - 1.0) <= 1e-12
+    if np.ndim(pure) == 0:
+        return _sio_source_volume_pure(z) if pure else _sio_source_volume_mixed(t, z)
+    return np.where(pure, _sio_source_volume_pure(z),
+                    _sio_source_volume_mixed(t, z))
 
 
 def _pio_accessible_volume(t, z):
@@ -388,6 +360,54 @@ def _pio_source_volume(t, z):
     return np.clip(np.where(degenerate, np.pi, body), 0.0, np.pi)
 
 
+#: Each qubit form by its suite name: kind, class label, area kernel
+#: over transverse radii t and heights z, and normalizing sup.
+_QUBIT_FORMS = {
+    "sio-Ca": ("accessible", "SIO", _sio_accessible_volume, math.pi),
+    "sio-Cs": ("source", "SIO", _sio_source_volume, math.pi),
+    "pio-Ca": ("accessible", "PIO", _pio_accessible_volume, 1.0 + math.sqrt(2.0)),
+    "pio-Cs": ("source", "PIO", _pio_source_volume, math.pi),
+}
+
+#: Suite name of each (kind, class label) pair.
+_QUBIT_FORM_NAMES = {form[:2]: name for name, form in _QUBIT_FORMS.items()}
+
+
+def _qubit_value(name: str, r) -> MonotoneValue:
+    """The qubit form ``name`` at a Bloch vector or 3-tuple, in float
+    math."""
+    kind, label, area, sup = _QUBIT_FORMS[name]
+    if not isinstance(r, QubitBloch):
+        r = QubitBloch(*r)
+    volume = float(area(math.sqrt(r.transverse_sq), r.r_z))
+    return MonotoneValue(kind=kind, value=_normalized(kind, volume, sup),
+                         volume=volume, sup_volume=sup,
+                         measure="bloch-halfplane", operation_class=label)
+
+
+def qubit_sio_Ca(r) -> MonotoneValue:
+    """Accessible coherence of a qubit under SIO (equivalently IC).
+
+    The accessible region of a Bloch vector with transverse radius
+    t = sqrt(r_x^2 + r_y^2) is the central strip |x| <= t of the
+    ellipse x^2 (1 - r_z^2)/t^2 + z^2 = 1; its area divided by the
+    disc area pi is the monotone.  States on the z axis (t = 0) have
+    value 0.
+    """
+    return _qubit_value("sio-Ca", r)
+
+
+def qubit_sio_Cs(r) -> MonotoneValue:
+    """Source coherence of a qubit under SIO (equivalently IC).
+
+    Piecewise in the Bloch ball: strictly mixed states use the
+    strip-and-ellipse exclusion area; states on the pure boundary
+    (|r|^2 = 1 within 1e-12) use the side-caps convention, under which
+    source and accessible coherence agree on pure states.
+    """
+    return _qubit_value("sio-Cs", r)
+
+
 def qubit_pio_Ca(r) -> MonotoneValue:
     """Accessible coherence of a qubit under partition-preserving
     incoherent operations: hexagon area 2t(1+|r_z|) over 1 + sqrt(2).
@@ -396,44 +416,23 @@ def qubit_pio_Ca(r) -> MonotoneValue:
     t^2 = r_z^2 = 1/2, not a global bound, so the value can exceed 1
     (up to 3*sqrt(3)/2 / (1+sqrt(2)) ~ 1.076); it is reported as is.
     """
-    r = _coerce_bloch(r)
-    volume = float(_pio_accessible_volume(math.sqrt(r.transverse_sq), r.r_z))
-    return MonotoneValue(kind="accessible",
-                         value=volume / _PIO_SUP_ACCESSIBLE,
-                         volume=volume, sup_volume=_PIO_SUP_ACCESSIBLE,
-                         measure="bloch-halfplane", operation_class="PIO")
+    return _qubit_value("pio-Ca", r)
 
 
 def qubit_pio_Cs(r) -> MonotoneValue:
     """Source coherence of a qubit under partition-preserving
     incoherent operations (piecewise disc area, sup pi)."""
-    r = _coerce_bloch(r)
-    volume = float(_pio_source_volume(math.sqrt(r.transverse_sq), r.r_z))
-    return MonotoneValue(kind="source", value=1.0 - volume / math.pi,
-                         volume=volume, sup_volume=math.pi,
-                         measure="bloch-halfplane", operation_class="PIO")
+    return _qubit_value("pio-Cs", r)
 
 
 def _qubit_monotone(monotone: str, t, z):
     """Value of ``qubit_sio_Ca``, ``qubit_sio_Cs``, ``qubit_pio_Ca`` or
     ``qubit_pio_Cs`` (named ``"sio-Ca"`` ... ``"pio-Cs"``) at transverse
-    radii ``t`` and heights ``z``, vectorized.  ``sio-Cs`` takes the pure
-    branch where ``|t^2 + z^2 - 1| <= 1e-12``, as ``QubitBloch.is_pure``
-    does."""
-    t = np.asarray(t, dtype=float)
-    z = np.asarray(z, dtype=float)
-    if monotone == "sio-Ca":
-        return _sio_accessible_volume(t, z) / math.pi
-    if monotone == "pio-Ca":
-        return _pio_accessible_volume(t, z) / _PIO_SUP_ACCESSIBLE
-    if monotone == "pio-Cs":
-        return 1.0 - _pio_source_volume(t, z) / math.pi
-    if monotone == "sio-Cs":
-        pure = np.abs(t * t + z * z - 1.0) <= 1e-12
-        volume = np.where(pure, _sio_source_volume_pure(z),
-                          _sio_source_volume_mixed(t, z))
-        return 1.0 - volume / math.pi
-    raise ValueError(f"unknown monotone {monotone!r}")
+    radii ``t`` and heights ``z``, vectorized."""
+    if monotone not in _QUBIT_FORMS:
+        raise ValueError(f"unknown monotone {monotone!r}")
+    kind, _, area, sup = _QUBIT_FORMS[monotone]
+    return _normalized(kind, area(t, z), sup)
 
 
 # ---------------------------------------------------------------------------
@@ -456,19 +455,45 @@ def planar_example_volumes(state, operation_class: str = "IC", cut=None):
 
     Returns ``(V_a, V_s, C_a, C_s)``.
     """
-    lam = _strip_zeros(_select_spectrum(state, operation_class.upper(), cut))
+    return _planar_family(state, operation_class.upper(), cut)[:4]
+
+
+def _planar_family(subject, operation_class: str, cut=None) -> tuple:
+    """:func:`planar_example_volumes` plus the measure tag and sup."""
+    lam = _strip_zeros(_select_spectrum(subject, operation_class, cut))
     if len(lam) == 3:
         a, b = float(lam[0]), float(lam[1])
         va = 0.5 * ((1.0 - a) ** 2 - b * b)
         vs = 0.5 * ((a + b) ** 2 - b * b)
-        return (va, vs, 2.0 * va, 1.0 - 2.0 * vs)
+        return (va, vs, 2.0 * va, 1.0 - 2.0 * vs, "coordinate-plane", 0.5)
     if len(lam) in (1, 2):
         x = float(lam[0])
         va = math.sqrt(2.0) * (1.0 - x)
         vs = math.sqrt(2.0) * (x - 0.5)
         c = 2.0 * (1.0 - x)
-        return (va, vs, c, c)
+        return (va, vs, c, c, "sorted-representative", math.sqrt(2.0) / 2.0)
     raise ValueError(f"no planar formula for support size {len(lam)}")
+
+
+def _closed_monotone(subject, kind: str, operation_class: str, cut=None,
+                     planar: bool = False) -> MonotoneValue:
+    """Closed-form monotone of any subject: the qubit form of a Bloch
+    vector; otherwise the planar family when ``planar`` is set or for
+    accessible kind (spectra have no other accessible closed form), and
+    :func:`source_coherence_closed` for the rest."""
+    operation_class = operation_class.upper()
+    if isinstance(subject, QubitBloch):
+        name = _QUBIT_FORM_NAMES.get((kind, _QUBIT_FAMILY.get(operation_class)))
+        if name is None:
+            raise ValueError(f"no closed qubit form for kind={kind!r} "
+                             f"class={operation_class!r}")
+        return _qubit_value(name, subject)
+    if not (planar or kind == "accessible"):
+        return source_coherence_closed(subject, operation_class, cut)
+    va, vs, ca, cs, measure, sup = _planar_family(subject, operation_class, cut)
+    volume, value = (va, ca) if kind == "accessible" else (vs, cs)
+    return MonotoneValue(kind=kind, value=value, volume=volume, sup_volume=sup,
+                         measure=measure, operation_class=operation_class)
 
 
 # ---------------------------------------------------------------------------
@@ -720,19 +745,16 @@ def region_geometry(subject, operation_class: str, kind: str) -> RegionGeometry:
     if bloch is not None:
         t = math.sqrt(bloch.transverse_sq)
         z = bloch.r_z
-        if operation_class in ("SIO", "IC"):
-            if kind == "accessible":
-                loops = _sio_accessible_geometry(t, z)
-            else:
-                loops = _sio_source_geometry(t, z, bloch.is_pure())
-        elif operation_class == "PIO":
-            if kind == "accessible":
-                loops = _pio_accessible_geometry(t, z)
-            else:
-                loops = _pio_source_geometry(t, z)
-        else:
+        family = _QUBIT_FAMILY.get(operation_class)
+        if family is None:
             raise ValueError(
                 f"no qubit region geometry for class {operation_class!r}")
+        if family == "SIO":
+            loops = (_sio_accessible_geometry(t, z) if kind == "accessible"
+                     else _sio_source_geometry(t, z, bloch.is_pure()))
+        else:
+            loops = (_pio_accessible_geometry(t, z) if kind == "accessible"
+                     else _pio_source_geometry(t, z))
         return RegionGeometry(measure="bloch-halfplane", kind=kind,
                               dimension=2, components=loops)
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .channels import (_apply_kraus, _check_kraus, _random_kraus,
                        apply_to_density, apply_to_pure, random_channel)
-from .feasibility import pio_feasible_mask, sio_feasible_mask
+from .feasibility import _QUBIT_FAMILY, pio_feasible_mask, sio_feasible_mask
 from .monotones import (STRIP_TOL, _permutation_sums, _qubit_monotone,
                         _sio_source_volume_mixed, _sio_source_volume_pure,
                         permutation_sum, qubit_pio_Ca, qubit_pio_Cs,
@@ -203,12 +203,10 @@ def qubit_region_predicate(r, operation_class: str, kind: str):
     if not isinstance(r, QubitBloch):
         r = QubitBloch(*r)
     operation_class = operation_class.upper()
-    if operation_class in ("SIO", "IC"):
-        mask = sio_feasible_mask
-    elif operation_class == "PIO":
-        mask = pio_feasible_mask
-    else:
+    family = _QUBIT_FAMILY.get(operation_class)
+    if family is None:
         raise ValueError(f"no qubit predicate for class {operation_class!r}")
+    mask = sio_feasible_mask if family == "SIO" else pio_feasible_mask
     t2, z = r.transverse_sq, r.r_z
     if kind == "accessible":
         def predicate(points):
@@ -221,6 +219,16 @@ def qubit_region_predicate(r, operation_class: str, kind: str):
     return predicate
 
 
+def _partial_sum_test(kind: str, slack: float):
+    """``test(sums, bound)``: source points have partial sums at most the
+    spectrum's, accessible points at least."""
+    if kind == "source":
+        return lambda sums, bound: sums <= bound + slack
+    if kind == "accessible":
+        return lambda sums, bound: sums >= bound - slack
+    raise ValueError(f"unknown kind {kind!r}")
+
+
 def sorted_simplex_predicate(spectrum, kind: str, slack: float = 1e-10):
     """Majorization test against a fixed sorted spectrum, vectorized
     over sorted-simplex sample points.
@@ -228,37 +236,23 @@ def sorted_simplex_predicate(spectrum, kind: str, slack: float = 1e-10):
     Source points are majorized by the spectrum (all partial sums
     below); accessible points majorize it.
     """
-    lam = sorted_spectrum(spectrum)
-    cumulative = np.cumsum(lam)
-
-    def predicate(points):
-        sums = np.cumsum(points, axis=1)
-        if kind == "source":
-            return np.all(sums <= cumulative + slack, axis=1)
-        if kind == "accessible":
-            return np.all(sums >= cumulative - slack, axis=1)
-        raise ValueError(f"unknown kind {kind!r}")
-    return predicate
+    test = _partial_sum_test(kind, slack)
+    cumulative = np.cumsum(sorted_spectrum(spectrum))
+    return lambda points: np.all(test(np.cumsum(points, axis=1), cumulative),
+                                 axis=1)
 
 
 def coordinate_plane_predicate(spectrum, kind: str, slack: float = 1e-10):
     """Coordinate-ordered partial-sum test for the planar qutrit
     family: x1 against a and x1 + x2 against a + b, in the unsorted
     coordinate plane."""
+    test = _partial_sum_test(kind, slack)
     lam = sorted_spectrum(spectrum)
     if len(lam) != 3:
         raise ValueError("coordinate-plane predicate needs a length-3 spectrum")
     a, ab = float(lam[0]), float(lam[0] + lam[1])
-
-    def predicate(points):
-        first = points[:, 0]
-        both = points[:, 0] + points[:, 1]
-        if kind == "source":
-            return (first <= a + slack) & (both <= ab + slack)
-        if kind == "accessible":
-            return (first >= a - slack) & (both >= ab - slack)
-        raise ValueError(f"unknown kind {kind!r}")
-    return predicate
+    return lambda points: (test(points[:, 0], a)
+                           & test(points[:, 0] + points[:, 1], ab))
 
 
 # ---------------------------------------------------------------------------
@@ -898,10 +892,7 @@ def b3_b4_counterexamples(step: float = 0.05) -> CounterexampleReport:
 
     # weighted selective measurement over two-outcome diagonal
     # instruments (a, b axes replace p, gamma; same grid bounds)
-    a, b, ti, zi = np.meshgrid(axis, axis, axis, axis, indexing="ij")
-    a, b, ti, zi = (x.ravel() for x in (a, b, ti, zi))
-    ok = ti * ti + zi * zi < 1.0 - 1e-9
-    a, b, ti, zi = a[ok], b[ok], ti[ok], zi[ok]
+    a, b, ti, zi = p, g, t, z
     rho00, rho11 = (1.0 + zi) / 2.0, (1.0 - zi) / 2.0
     wa = a * a * rho00 + b * b * rho11
     ta, za = a * b * ti / wa, (a * a * rho00 - b * b * rho11) / wa

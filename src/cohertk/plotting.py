@@ -13,6 +13,7 @@ import math
 
 from .monotones import Arc, RegionGeometry, Segment
 from .serialize import round_floats
+from .states import QubitBloch
 
 __all__ = ["svg_figure", "boundary_csv", "figure_regions"]
 
@@ -27,6 +28,11 @@ _WINDOWS = {
 }
 
 _CONTINUITY_TOL = 1e-9
+
+#: Operation class of each figure.  The qubit figures draw the regions
+#: of a Bloch vector, the others the planar family of a state or spectrum.
+_FIGURE_CLASSES = {"qubit-sio": "SIO", "qubit-pio": "PIO",
+                   "qutrit": "IC", "two-level": "IC"}
 
 
 def _fmt(x: float) -> str:
@@ -172,13 +178,10 @@ def figure_regions(figure: str, subject) -> dict:
     """
     from .monotones import region_geometry
 
-    if figure in ("qubit-sio", "qubit-pio"):
-        operation_class = "SIO" if figure == "qubit-sio" else "PIO"
-    elif figure in ("qutrit", "two-level"):
-        operation_class = "IC"
-    else:
+    if figure not in _FIGURE_CLASSES:
         raise ValueError(f"unknown figure {figure!r}")
-    return {
-        "accessible": region_geometry(subject, operation_class, "accessible"),
-        "source": region_geometry(subject, operation_class, "source"),
-    }
+    if isinstance(subject, QubitBloch) and not figure.startswith("qubit-"):
+        raise ValueError(f"the {figure} figure needs a state or spectrum, "
+                         "not a Bloch vector")
+    return {kind: region_geometry(subject, _FIGURE_CLASSES[figure], kind)
+            for kind in ("accessible", "source")}

@@ -454,13 +454,25 @@ def test_bad_seed_environment_exits_1(tmp_path, capsys, monkeypatch):
     ["volume", "--method", "mc", "--class", "FOO", "--samples", "1000",
      "--state", "SPEC"],
     ["monotone", "--kind", "accessible", "--class", "FOO", "--state", "SPEC"],
+    # the planar figures take a state or spectrum, not a Bloch vector
+    ["plot", "--figure", "qutrit", "--state", "BLOCH"],
+    ["plot", "--figure", "two-level", "--state", "BLOCH"],
+    ["plot", "--figure", "qutrit", "--format", "csv", "--state", "BLOCH"],
+    # majorization does not govern PIO, so spectra have no PIO rule
+    ["monotone", "--kind", "source", "--class", "PIO", "--state", "SPEC"],
+    ["monotone", "--kind", "accessible", "--class", "PIO", "--state", "SPEC"],
+    ["volume", "--method", "closed", "--class", "PIO", "--state", "SPEC"],
+    ["volume", "--method", "exact", "--class", "PIO", "--state", "SPEC"],
+    ["volume", "--method", "mc", "--class", "PIO", "--samples", "1000",
+     "--state", "SPEC"],
 ])
 def test_out_of_range_input_exits_1(tmp_path, capsys, argv):
     # dumps would write NaN as null, so the file is written by hand
     nan_bloch = tmp_path / "nan.json"
     nan_bloch.write_text('{"bloch": [NaN, 0, 0.2]}', encoding="utf-8")
     spectrum = write_json(tmp_path, "spec.json", {"spectrum": [0.5, 0.3, 0.2]})
-    argv = [{"NAN": str(nan_bloch), "SPEC": spectrum}.get(arg, arg)
+    bloch = write_json(tmp_path, "r.json", {"bloch": [0.5, 0.0, 0.3]})
+    argv = [{"NAN": str(nan_bloch), "SPEC": spectrum, "BLOCH": bloch}.get(arg, arg)
             for arg in argv]
     code, out, err = run_cli(capsys, *argv)
     assert code == 1

@@ -10,8 +10,11 @@ from numpy.testing import assert_allclose
 from cohertk.feasibility import LemmaNotApplicableError
 from cohertk.monotones import (
     MonotoneValue,
+    _closed_monotone,
     _permutation_sum_fraction,
     _permutation_sums,
+    _qubit_monotone,
+    _select_spectrum,
     permutation_sum,
     planar_example_volumes,
     qubit_pio_Ca,
@@ -138,6 +141,18 @@ def test_source_coherence_closed_state_routes():
         source_coherence_closed([0.6, 0.4], "LOCC")
 
 
+def test_pio_has_no_spectrum_rule():
+    # majorization does not decide pure-state PIO conversions, so a bare
+    # spectrum is refused under PIO just as the pure state is
+    with pytest.raises(ValueError, match="class 'PIO' on spectra"):
+        source_coherence_closed([0.5, 0.3, 0.2], "PIO")
+    with pytest.raises(ValueError, match="class 'PIO' on pure states"):
+        source_coherence_closed(PureState((3,), [RT(0.5), RT(0.3), RT(0.2)]),
+                                "PIO")
+    with pytest.raises(ValueError, match="class 'PIO' on spectra"):
+        planar_example_volumes([0.5, 0.3, 0.2], "PIO")
+
+
 def test_monotone_value_validates_identity():
     with pytest.raises(ValueError, match="unknown kind"):
         MonotoneValue("sideways", 0.5, 0.5, 1.0,
@@ -210,6 +225,93 @@ def test_qubit_monotones_accept_tuples():
     direct = qubit_sio_Ca((0.3, 0.4, 0.3))
     wrapped = qubit_sio_Ca(QubitBloch(0.3, 0.4, 0.3))
     assert direct.value == wrapped.value
+
+
+QUBIT_FORMS = {"sio-Ca": qubit_sio_Ca, "sio-Cs": qubit_sio_Cs,
+               "pio-Ca": qubit_pio_Ca, "pio-Cs": qubit_pio_Cs}
+
+
+@pytest.mark.parametrize("name", sorted(QUBIT_FORMS))
+def test_qubit_forms_share_the_batched_kernel(name):
+    points = [QubitBloch(0.5, 0.1, 0.3), QubitBloch(0.0, 0.0, 0.4),
+              QubitBloch(0.3, 0.0, -0.2), QubitBloch(0.9, 0.0, RT(0.19)),
+              QubitBloch(RT(0.5), 0.0, RT(0.5)),
+              # pure boundary, including its poles and a point within 1e-12
+              QubitBloch(0.6, 0.0, 0.8), QubitBloch(0.6, 0.0, -0.8),
+              QubitBloch(1.0, 0.0, 0.0), QubitBloch(0.0, 0.0, 1.0),
+              QubitBloch(0.0, 0.6, 0.8 - 1e-13),
+              # just inside it: the mixed branch of sio-Cs
+              QubitBloch(0.6, 0.0, 0.8 - 1e-9)]
+    t = np.array([math.sqrt(r.transverse_sq) for r in points])
+    z = np.array([r.r_z for r in points])
+    public = np.array([QUBIT_FORMS[name](r).value for r in points])
+    scalar = np.array([_qubit_monotone(name, float(ti), float(zi))
+                       for ti, zi in zip(t, z)])
+    assert np.array_equal(public, scalar)
+    assert_allclose(_qubit_monotone(name, t, z), public, rtol=0, atol=1e-14)
+    with pytest.raises(ValueError, match="unknown monotone"):
+        _qubit_monotone("sio-Cx", t, z)
+
+
+# ---------------------------------------------------------------------------
+# one dispatcher: the same value as the public route for every subject
+
+
+DISPATCH_SUBJECTS = {
+    "bloch": QubitBloch(0.5, 0.1, 0.3),
+    "bloch-pure": QubitBloch(0.6, 0.0, 0.8),
+    "support-1": [1.0, 0.0, 0.0],
+    "support-2": [0.7, 0.3],
+    "support-3": [0.5, 0.3, 0.2],
+    "support-4": [0.4, 0.3, 0.2, 0.1],
+    "qutrit": PureState((3,), [RT(0.5), RT(0.3), RT(0.2)]),
+    "two-qubit": PureState((2, 2), [0.8, 0, 0, 0.6]),
+}
+
+QUBIT_ROUTE = {("accessible", "SIO"): qubit_sio_Ca,
+               ("accessible", "IC"): qubit_sio_Ca,
+               ("source", "SIO"): qubit_sio_Cs, ("source", "IC"): qubit_sio_Cs,
+               ("accessible", "PIO"): qubit_pio_Ca,
+               ("source", "PIO"): qubit_pio_Cs}
+
+
+def public_route(subject, kind, operation_class, planar):
+    """The closed-form value as composed from the public functions."""
+    if isinstance(subject, QubitBloch):
+        if (kind, operation_class) not in QUBIT_ROUTE:
+            raise ValueError(f"no closed qubit form for kind={kind!r} "
+                             f"class={operation_class!r}")
+        return QUBIT_ROUTE[(kind, operation_class)](subject)
+    if not (planar or kind == "accessible"):
+        return source_coherence_closed(subject, operation_class)
+    va, vs, ca, cs = planar_example_volumes(subject, operation_class)
+    lam = _select_spectrum(subject, operation_class)
+    if np.count_nonzero(lam > 1e-12) == 3:
+        measure, sup = "coordinate-plane", 0.5
+    else:
+        measure, sup = "sorted-representative", RT(2) / 2
+    volume, value = (va, ca) if kind == "accessible" else (vs, cs)
+    return MonotoneValue(kind, value, volume, sup, measure, operation_class)
+
+
+def outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("planar", [False, True])
+@pytest.mark.parametrize("operation_class",
+                         ["IC", "SIO", "PIO", "LICC", "LSICC", "FOO"])
+@pytest.mark.parametrize("kind", ["accessible", "source"])
+@pytest.mark.parametrize("subject", sorted(DISPATCH_SUBJECTS))
+def test_dispatcher_matches_the_public_route(subject, kind, operation_class,
+                                             planar):
+    subject = DISPATCH_SUBJECTS[subject]
+    got = outcome(_closed_monotone, subject, kind, operation_class,
+                  planar=planar)
+    assert got == outcome(public_route, subject, kind, operation_class, planar)
 
 
 # ---------------------------------------------------------------------------

@@ -247,6 +247,16 @@ def test_simplex_and_plane_predicates_spot_values():
         coordinate_plane_predicate((0.6, 0.4), "source")
 
 
+def test_simplex_predicate_rejects_unknown_kind_when_built():
+    with pytest.raises(ValueError, match="unknown kind 'outside'"):
+        sorted_simplex_predicate((0.5, 0.3, 0.2), "outside")
+
+
+def test_plane_predicate_rejects_unknown_kind_when_built():
+    with pytest.raises(ValueError, match="unknown kind 'outside'"):
+        coordinate_plane_predicate((0.5, 0.3, 0.2), "outside")
+
+
 # ---------------------------------------------------------------------------
 # property suites
 
