@@ -168,6 +168,13 @@ def liu_equivalent(psi: PureState, phi: PureState, tol: float = AMP_TOL):
     n_unknowns = sum(dims)
     offsets = np.concatenate([[0], np.cumsum(dims)[:-1]])
     multi = np.array(np.unravel_index(support, dims)).T  # (m, parties)
+    rows = []
+    for idx in multi:
+        row = [0] * n_unknowns
+        for k, i_k in enumerate(idx):
+            row[offsets[k] + i_k] = 1
+        rows.append(row)
+    source_arg = np.angle(psi.amps[support])
 
     for perms in itertools.product(*[itertools.permutations(range(d))
                                      for d in dims]):
@@ -175,13 +182,6 @@ def liu_equivalent(psi: PureState, phi: PureState, tol: float = AMP_TOL):
         if not np.allclose(mod_phi[flat], mod_psi, atol=1e-8):
             continue
         target_arg = np.angle(phi.amps[flat[support]])
-        source_arg = np.angle(psi.amps[support])
-        rows = []
-        for idx in multi:
-            row = [0] * n_unknowns
-            for k, i_k in enumerate(idx):
-                row[offsets[k] + i_k] = 1
-            rows.append(row)
         solution = _solve_torus(rows, target_arg - source_arg, n_unknowns)
         if solution is None:
             continue

@@ -41,22 +41,21 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from .classify import (canonical_form_r4, liu_equivalent, slicc_class_2qubit,
                        slicc_equivalent_2qubit)
 from .feasibility import (_QUBIT_FAMILY, LemmaNotApplicableError,
                           ic_pure_feasible, licc_bipartite_feasible,
                           locc_pure_feasible, pio_qubit_feasible,
                           sio_qubit_feasible)
-from .monotones import _closed_monotone, _select_spectrum
+from .monotones import _as_bloch, _closed_monotone, _select_spectrum
 from .oracle import (DEFAULT_SEED, b3_b4_counterexamples, exact_polytope_volume,
                      coordinate_plane_predicate, formula_identity_check,
                      lemma1_suite, make_region, mc_volume, monotonicity_suite,
                      qubit_region_predicate, sorted_simplex_predicate)
-from .plotting import _FIGURE_CLASSES, boundary_csv, figure_regions, svg_figure
+from .plotting import (_FIGURE_CLASSES, _figure_subject, boundary_csv,
+                       figure_regions, svg_figure)
 from .serialize import dumps, load_json, subject_from_dict
-from .states import PureState, QubitBloch, bloch_from_density
+from .states import PureState, QubitBloch
 
 
 class _Parser(argparse.ArgumentParser):
@@ -84,21 +83,16 @@ def _load_subject(path):
     return subject_from_dict(load_json(path))
 
 
-def _as_bloch(subject) -> QubitBloch:
+def _region_name(subject, region):
+    """``--region`` checked against the subject, or the subject's default:
+    ``bloch-disc`` for Bloch vectors, ``simplex-sorted`` for spectra."""
     if isinstance(subject, QubitBloch):
-        return subject
-    if isinstance(subject, PureState) and subject.dims == (2,):
-        vec = subject.amps
-        return bloch_from_density(np.outer(vec, vec.conj()))
-    raise ValueError("this operation needs a Bloch vector "
-                     '({"bloch": [rx, ry, rz]}) or single-qubit state')
-
-
-def _as_spectrum(subject, cls, cut):
-    if isinstance(subject, QubitBloch):
-        raise ValueError("this operation needs a state or spectrum, "
-                         "not a Bloch vector")
-    return _select_spectrum(subject, cls, cut)
+        if region not in (None, "bloch-disc", "bloch-half-disc"):
+            raise ValueError("Bloch subjects sample bloch-disc regions")
+        return region or "bloch-disc"
+    if region not in (None, "simplex-sorted", "coordinate-plane"):
+        raise ValueError(f"region {region!r} does not apply to spectra")
+    return region or "simplex-sorted"
 
 
 def _emit(text: str, output):
@@ -190,26 +184,18 @@ def _cmd_monotone(args):
     return 0
 
 
-def _mc_volume_payload(subject, args, seed):
+def _mc_volume_payload(subject, region_name, args, seed):
     cls = args.operation_class.upper()
     if isinstance(subject, QubitBloch):
-        region_name = args.region or "bloch-disc"
-        if region_name not in ("bloch-disc", "bloch-half-disc"):
-            raise ValueError("Bloch subjects sample bloch-disc regions")
         region = make_region(region_name)
         predicate = qubit_region_predicate(subject, cls, args.kind)
     else:
-        lam = _as_spectrum(subject, cls, args.cut)
-        region_name = args.region or "simplex-sorted"
+        lam = _select_spectrum(subject, cls, args.cut)
+        region = make_region(region_name, dim=len(lam))
         if region_name == "simplex-sorted":
-            region = make_region("simplex-sorted", dim=len(lam))
             predicate = sorted_simplex_predicate(lam, args.kind)
-        elif region_name == "coordinate-plane":
-            region = make_region("coordinate-plane")
-            predicate = coordinate_plane_predicate(lam, args.kind)
         else:
-            raise ValueError(
-                f"region {region_name!r} does not apply to spectra")
+            predicate = coordinate_plane_predicate(lam, args.kind)
     estimate = mc_volume(predicate, region, args.samples, seed)
     return {"method": "mc", "kind": args.kind, "class": cls,
             "region": region.name,
@@ -219,18 +205,21 @@ def _mc_volume_payload(subject, args, seed):
 def _cmd_volume(args):
     subject = _load_subject(args.state)
     seed = _resolve_seed(args.seed)
+    region_name = _region_name(subject, args.region)
     if args.method == "closed":
         payload = dataclasses.asdict(_closed_monotone(
             subject, args.kind, args.operation_class, args.cut,
-            planar=args.region == "coordinate-plane"))
+            planar=region_name == "coordinate-plane"))
     elif args.method == "exact":
         if args.kind != "source":
             raise ValueError("exact volumes cover only the source polytope; "
                              "use --method mc for --kind accessible")
-        lam = _as_spectrum(subject, args.operation_class.upper(), args.cut)
+        lam = _select_spectrum(subject, args.operation_class.upper(), args.cut)
+        if region_name != "simplex-sorted":
+            raise ValueError(f"region {region_name!r} has no exact volume")
         payload = {"method": "exact", "volume": exact_polytope_volume(lam)}
     else:
-        payload = _mc_volume_payload(subject, args, seed)
+        payload = _mc_volume_payload(subject, region_name, args, seed)
     _emit_json(payload, args.output)
     return 0
 
@@ -259,13 +248,11 @@ def _cmd_counterexample(args):
 
 
 def _cmd_plot(args):
-    subject = _load_subject(args.state)
+    subject = _figure_subject(args.figure, _load_subject(args.state))
     regions = figure_regions(args.figure, subject)
     if args.format == "csv":
         _emit(boundary_csv(regions), args.output)
         return 0
-    if args.figure.startswith("qubit-"):
-        subject = _as_bloch(subject)
     accessible, source = (
         _closed_monotone(subject, kind, _FIGURE_CLASSES[args.figure],
                          planar=True) for kind in ("accessible", "source"))

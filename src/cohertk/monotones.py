@@ -25,8 +25,8 @@ from fractions import Fraction
 import numpy as np
 
 from .feasibility import _QUBIT_FAMILY, LemmaNotApplicableError
-from .states import (PureState, QubitBloch, dephased_spectrum,
-                     schmidt_spectrum, sorted_spectrum)
+from .states import (PureState, QubitBloch, bloch_from_density,
+                     dephased_spectrum, schmidt_spectrum, sorted_spectrum)
 
 __all__ = [
     "MonotoneValue",
@@ -206,6 +206,18 @@ def sup_source_volume(dim: int) -> float:
     return math.sqrt(dim) / (math.factorial(dim) * math.factorial(dim - 1))
 
 
+def _as_bloch(subject) -> QubitBloch:
+    """The Bloch vector of a subject: a :class:`~cohertk.states.QubitBloch`
+    itself, or the projector of a single-qubit pure state."""
+    if isinstance(subject, QubitBloch):
+        return subject
+    if isinstance(subject, PureState) and subject.dims == (2,):
+        vec = subject.amps
+        return bloch_from_density(np.outer(vec, vec.conj()))
+    raise ValueError("this operation needs a Bloch vector "
+                     '({"bloch": [rx, ry, rz]}) or single-qubit state')
+
+
 def _select_spectrum(subject, operation_class: str, cut=None) -> np.ndarray:
     """Sorted spectrum relevant to an operation class.
 
@@ -216,6 +228,9 @@ def _select_spectrum(subject, operation_class: str, cut=None) -> np.ndarray:
     states and raise :class:`~cohertk.feasibility.LemmaNotApplicableError`
     otherwise.  ``operation_class`` must be upper case.
     """
+    if isinstance(subject, QubitBloch):
+        raise ValueError("this operation needs a state or spectrum, "
+                         "not a Bloch vector")
     if operation_class not in _OPERATION_CLASSES:
         raise ValueError(f"unknown operation class {operation_class!r}")
     if operation_class == "PIO":
@@ -302,12 +317,16 @@ def _sio_source_volume_pure(z):
     return 2.0 * np.arcsin(az) - 2.0 * az * np.sqrt(1.0 - az * az)
 
 
+def _on_pure_boundary(t, z):
+    """|t^2 + z^2 - 1| <= 1e-12, as ``QubitBloch.is_pure``; vectorized."""
+    return abs(t * t + z * z - 1.0) <= 1e-12
+
+
 def _sio_source_volume(t, z):
     """Source area under strictly/fully incoherent qubit operations: the
-    side caps on the pure boundary (|t^2 + z^2 - 1| <= 1e-12, as
-    ``QubitBloch.is_pure``), the mixed-state area elsewhere.  Vectorized;
-    a single point evaluates only its own branch."""
-    pure = abs(t * t + z * z - 1.0) <= 1e-12
+    side caps on the pure boundary, the mixed-state area elsewhere.
+    Vectorized; a single point evaluates only its own branch."""
+    pure = _on_pure_boundary(t, z)
     if np.ndim(pure) == 0:
         return _sio_source_volume_pure(z) if pure else _sio_source_volume_mixed(t, z)
     return np.where(pure, _sio_source_volume_pure(z),
@@ -360,23 +379,10 @@ def _pio_source_volume(t, z):
     return np.clip(np.where(degenerate, np.pi, body), 0.0, np.pi)
 
 
-#: Each qubit form by its suite name: kind, class label, area kernel
-#: over transverse radii t and heights z, and normalizing sup.
-_QUBIT_FORMS = {
-    "sio-Ca": ("accessible", "SIO", _sio_accessible_volume, math.pi),
-    "sio-Cs": ("source", "SIO", _sio_source_volume, math.pi),
-    "pio-Ca": ("accessible", "PIO", _pio_accessible_volume, 1.0 + math.sqrt(2.0)),
-    "pio-Cs": ("source", "PIO", _pio_source_volume, math.pi),
-}
-
-#: Suite name of each (kind, class label) pair.
-_QUBIT_FORM_NAMES = {form[:2]: name for name, form in _QUBIT_FORMS.items()}
-
-
 def _qubit_value(name: str, r) -> MonotoneValue:
     """The qubit form ``name`` at a Bloch vector or 3-tuple, in float
     math."""
-    kind, label, area, sup = _QUBIT_FORMS[name]
+    kind, label, area, sup, _ = _QUBIT_FORMS[name]
     if not isinstance(r, QubitBloch):
         r = QubitBloch(*r)
     volume = float(area(math.sqrt(r.transverse_sq), r.r_z))
@@ -431,7 +437,7 @@ def _qubit_monotone(monotone: str, t, z):
     radii ``t`` and heights ``z``, vectorized."""
     if monotone not in _QUBIT_FORMS:
         raise ValueError(f"unknown monotone {monotone!r}")
-    kind, _, area, sup = _QUBIT_FORMS[monotone]
+    kind, _, area, sup, _ = _QUBIT_FORMS[monotone]
     return _normalized(kind, area(t, z), sup)
 
 
@@ -455,23 +461,34 @@ def planar_example_volumes(state, operation_class: str = "IC", cut=None):
 
     Returns ``(V_a, V_s, C_a, C_s)``.
     """
-    return _planar_family(state, operation_class.upper(), cut)[:4]
+    kinds = _planar_family(state, operation_class.upper(), cut)[3]
+    (va, ca, _), (vs, cs, _) = kinds["accessible"], kinds["source"]
+    return va, vs, ca, cs
 
 
 def _planar_family(subject, operation_class: str, cut=None) -> tuple:
-    """:func:`planar_example_volumes` plus the measure tag and sup."""
+    """The planar family of a subject as ``(measure, dimension, sup,
+    {kind: (volume, value, boundary loops)})``, with the volumes and
+    values of :func:`planar_example_volumes`."""
     lam = _strip_zeros(_select_spectrum(subject, operation_class, cut))
     if len(lam) == 3:
         a, b = float(lam[0]), float(lam[1])
         va = 0.5 * ((1.0 - a) ** 2 - b * b)
         vs = 0.5 * ((a + b) ** 2 - b * b)
-        return (va, vs, 2.0 * va, 1.0 - 2.0 * vs, "coordinate-plane", 0.5)
+        # counterclockwise quadrilaterals in the (x1, x2) plane
+        accessible = [(a + b, 0.0), (1.0, 0.0), (a, 1.0 - a), (a, b)]
+        source = [(0.0, 0.0), (a, 0.0), (a, b), (0.0, a + b)]
+        return ("coordinate-plane", 2, 0.5,
+                {"accessible": (va, 2.0 * va, _planar_polygon(accessible)),
+                 "source": (vs, 1.0 - 2.0 * vs, _planar_polygon(source))})
     if len(lam) in (1, 2):
         x = float(lam[0])
         va = math.sqrt(2.0) * (1.0 - x)
         vs = math.sqrt(2.0) * (x - 0.5)
         c = 2.0 * (1.0 - x)
-        return (va, vs, c, c, "sorted-representative", math.sqrt(2.0) / 2.0)
+        return ("sorted-representative", 1, math.sqrt(2.0) / 2.0,
+                {"accessible": (va, c, ((Segment((x, 1.0 - x), (1.0, 0.0)),),)),
+                 "source": (vs, c, ((Segment((0.5, 0.5), (x, 1.0 - x)),),))})
     raise ValueError(f"no planar formula for support size {len(lam)}")
 
 
@@ -490,8 +507,8 @@ def _closed_monotone(subject, kind: str, operation_class: str, cut=None,
         return _qubit_value(name, subject)
     if not (planar or kind == "accessible"):
         return source_coherence_closed(subject, operation_class, cut)
-    va, vs, ca, cs, measure, sup = _planar_family(subject, operation_class, cut)
-    volume, value = (va, ca) if kind == "accessible" else (vs, cs)
+    measure, _, sup, kinds = _planar_family(subject, operation_class, cut)
+    volume, value, _ = kinds[kind]
     return MonotoneValue(kind=kind, value=value, volume=volume, sup_volume=sup,
                          measure=measure, operation_class=operation_class)
 
@@ -595,9 +612,17 @@ class RegionGeometry:
         return out
 
 
-def _full_disc() -> tuple:
-    return ((Arc((0.0, 0.0), 1.0, 1.0, -0.5 * math.pi, 0.5 * math.pi),
-             Arc((0.0, 0.0), 1.0, 1.0, 0.5 * math.pi, 1.5 * math.pi)),)
+_FULL_DISC = ((Arc((0.0, 0.0), 1.0, 1.0, -0.5 * math.pi, 0.5 * math.pi),
+               Arc((0.0, 0.0), 1.0, 1.0, 0.5 * math.pi, 1.5 * math.pi)),)
+
+
+def _turned(loop) -> tuple:
+    """A boundary loop turned by pi about the origin, piece by piece."""
+    return tuple(Segment((-p.start[0], -p.start[1]), (-p.end[0], -p.end[1]))
+                 if isinstance(p, Segment) else
+                 Arc((-p.center[0], -p.center[1]), p.rx, p.ry,
+                     p.theta0 + math.pi, p.theta1 + math.pi)
+                 for p in loop)
 
 
 def _sio_accessible_geometry(t: float, z: float) -> tuple:
@@ -613,22 +638,18 @@ def _sio_accessible_geometry(t: float, z: float) -> tuple:
     return (loop,)
 
 
-def _sio_source_geometry(t: float, z: float, pure: bool) -> tuple:
+def _sio_source_geometry(t: float, z: float) -> tuple:
     if t <= STRIP_TOL:
-        return _full_disc()
+        return _FULL_DISC
     az = abs(z)
     h = math.sqrt(max(0.0, 1.0 - t * t))
     theta_h = math.atan2(h, t)
-    if pure:
+    if _on_pure_boundary(t, z):
         right = (
             Segment((t, h), (t, -h)),
             Arc((0.0, 0.0), 1.0, 1.0, -theta_h, theta_h),
         )
-        left = (
-            Segment((-t, -h), (-t, h)),
-            Arc((0.0, 0.0), 1.0, 1.0, math.pi - theta_h, math.pi + theta_h),
-        )
-        return (right, left)
+        return (right, _turned(right))
     rx = t / math.sqrt(1.0 - az * az)
     # ellipse parameter of the strip corner (t, +/-az)
     phi = math.acos(min(1.0, t / rx)) if rx > 0 else 0.5 * math.pi
@@ -638,13 +659,7 @@ def _sio_source_geometry(t: float, z: float, pure: bool) -> tuple:
         Segment((t, -az), (t, -h)),
         Arc((0.0, 0.0), 1.0, 1.0, -theta_h, theta_h),
     )
-    left = (
-        Segment((-t, -h), (-t, -az)),
-        Arc((0.0, 0.0), rx, 1.0, math.pi + phi, math.pi - phi),
-        Segment((-t, az), (-t, h)),
-        Arc((0.0, 0.0), 1.0, 1.0, math.pi - theta_h, math.pi + theta_h),
-    )
-    return (right, left)
+    return (right, _turned(right))
 
 
 def _pio_accessible_geometry(t: float, z: float) -> tuple:
@@ -656,7 +671,7 @@ def _pio_accessible_geometry(t: float, z: float) -> tuple:
 
 def _pio_source_geometry(t: float, z: float) -> tuple:
     if t <= STRIP_TOL:
-        return _full_disc()
+        return _FULL_DISC
     az = abs(z)
     h = math.sqrt(max(0.0, 1.0 - t * t))
     theta_h = math.atan2(h, t)
@@ -670,14 +685,7 @@ def _pio_source_geometry(t: float, z: float) -> tuple:
             Segment((t, -az), (t, -h)),
             Arc((0.0, 0.0), 1.0, 1.0, -theta_h, theta_h),
         )
-        left = (
-            Segment((-t, -h), (-t, -az)),
-            Segment((-t, -az), (-apex, 0.0)),
-            Segment((-apex, 0.0), (-t, az)),
-            Segment((-t, az), (-t, h)),
-            Arc((0.0, 0.0), 1.0, 1.0, math.pi - theta_h, math.pi + theta_h),
-        )
-        return (right, left)
+        return (right, _turned(right))
     x_star = 2.0 * k / (1.0 + k * k)
     if t >= x_star:
         return ()
@@ -707,6 +715,23 @@ def _pio_source_geometry(t: float, z: float) -> tuple:
     return (top_right, bottom_right, top_left, bottom_left)
 
 
+#: Each qubit form by its suite name: kind, class label, area kernel over
+#: transverse radii t and heights z, normalizing sup, boundary builder.
+_QUBIT_FORMS = {
+    "sio-Ca": ("accessible", "SIO", _sio_accessible_volume, math.pi,
+               _sio_accessible_geometry),
+    "sio-Cs": ("source", "SIO", _sio_source_volume, math.pi,
+               _sio_source_geometry),
+    "pio-Ca": ("accessible", "PIO", _pio_accessible_volume,
+               1.0 + math.sqrt(2.0), _pio_accessible_geometry),
+    "pio-Cs": ("source", "PIO", _pio_source_volume, math.pi,
+               _pio_source_geometry),
+}
+
+#: Suite name of each (kind, class label) pair.
+_QUBIT_FORM_NAMES = {form[:2]: name for name, form in _QUBIT_FORMS.items()}
+
+
 def _planar_polygon(vertices) -> tuple:
     n = len(vertices)
     return (tuple(Segment(vertices[i], vertices[(i + 1) % n])
@@ -716,65 +741,26 @@ def _planar_polygon(vertices) -> tuple:
 def region_geometry(subject, operation_class: str, kind: str) -> RegionGeometry:
     """Exact boundary of an accessible or source region as plot data.
 
-    Supported subjects: a :class:`~cohertk.states.QubitBloch` (or
-    3-tuple) with class SIO/IC or PIO — regions in the x-z Bloch disc —
-    and a pure state or sorted spectrum with support size 2 or 3 — the
-    planar example regions.  The emitted piecewise boundary integrates
-    (via :meth:`RegionGeometry.area`) to the closed-form volume within
-    1e-6.
+    Supported subjects: a :class:`~cohertk.states.QubitBloch` with class
+    SIO/IC or PIO — regions in the x-z Bloch disc — and a pure state or
+    sorted spectrum with support size 1 to 3 — the planar example
+    regions.  Subjects are read as :func:`_closed_monotone` reads them,
+    so a bare sequence is always a spectrum.  The emitted piecewise
+    boundary integrates (via :meth:`RegionGeometry.area`) to the
+    closed-form volume within 1e-6.
     """
     if kind not in ("accessible", "source"):
         raise ValueError(f"unknown kind {kind!r}")
     operation_class = operation_class.upper()
-
-    # A bare 3-vector is ambiguous; read it as a spectrum when it is a
-    # sorted probability vector, as a Bloch vector otherwise.  Pass a
-    # QubitBloch explicitly to force the Bloch reading.
-    bloch = None
     if isinstance(subject, QubitBloch):
-        bloch = subject
-    elif not isinstance(subject, PureState):
-        arr = np.asarray(subject, dtype=float)
-        if arr.shape == (3,):
-            is_spectrum = (abs(float(arr.sum()) - 1.0) <= 1e-8
-                           and np.all(arr >= -1e-12)
-                           and np.all(np.diff(arr) <= 1e-12))
-            if not is_spectrum:
-                bloch = QubitBloch(*arr)
-
-    if bloch is not None:
-        t = math.sqrt(bloch.transverse_sq)
-        z = bloch.r_z
-        family = _QUBIT_FAMILY.get(operation_class)
-        if family is None:
+        name = _QUBIT_FORM_NAMES.get((kind, _QUBIT_FAMILY.get(operation_class)))
+        if name is None:
             raise ValueError(
                 f"no qubit region geometry for class {operation_class!r}")
-        if family == "SIO":
-            loops = (_sio_accessible_geometry(t, z) if kind == "accessible"
-                     else _sio_source_geometry(t, z, bloch.is_pure()))
-        else:
-            loops = (_pio_accessible_geometry(t, z) if kind == "accessible"
-                     else _pio_source_geometry(t, z))
+        loops = _QUBIT_FORMS[name][4](math.sqrt(subject.transverse_sq),
+                                      subject.r_z)
         return RegionGeometry(measure="bloch-halfplane", kind=kind,
                               dimension=2, components=loops)
-
-    lam = _strip_zeros(_select_spectrum(subject, operation_class))
-    if len(lam) == 3:
-        a, b = float(lam[0]), float(lam[1])
-        if kind == "source":
-            vertices = [(0.0, 0.0), (a, 0.0), (a, b), (0.0, a + b)]
-        else:
-            vertices = [(a, b), (a, 1.0 - a), (1.0, 0.0), (a + b, 0.0)]
-            vertices.reverse()  # counterclockwise
-        return RegionGeometry(measure="coordinate-plane", kind=kind,
-                              dimension=2,
-                              components=_planar_polygon(vertices))
-    if len(lam) in (1, 2):
-        x = float(lam[0])
-        if kind == "accessible":
-            seg = Segment((x, 1.0 - x), (1.0, 0.0))
-        else:
-            seg = Segment((0.5, 0.5), (x, 1.0 - x))
-        return RegionGeometry(measure="sorted-representative", kind=kind,
-                              dimension=1, components=((seg,),))
-    raise ValueError(f"no region geometry for support size {len(lam)}")
+    measure, dimension, _, kinds = _planar_family(subject, operation_class)
+    return RegionGeometry(measure=measure, kind=kind, dimension=dimension,
+                          components=kinds[kind][2])

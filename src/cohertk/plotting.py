@@ -11,9 +11,8 @@ from __future__ import annotations
 import json
 import math
 
-from .monotones import Arc, RegionGeometry, Segment
+from .monotones import Arc, RegionGeometry, Segment, _as_bloch, _select_spectrum
 from .serialize import round_floats
-from .states import QubitBloch
 
 __all__ = ["svg_figure", "boundary_csv", "figure_regions"]
 
@@ -29,8 +28,7 @@ _WINDOWS = {
 
 _CONTINUITY_TOL = 1e-9
 
-#: Operation class of each figure.  The qubit figures draw the regions
-#: of a Bloch vector, the others the planar family of a state or spectrum.
+#: Operation class of each figure.
 _FIGURE_CLASSES = {"qubit-sio": "SIO", "qubit-pio": "PIO",
                    "qutrit": "IC", "two-level": "IC"}
 
@@ -169,19 +167,25 @@ def boundary_csv(regions: dict, per_piece: int = 64) -> str:
     return "\n".join(rows) + "\n"
 
 
+def _figure_subject(figure: str, subject):
+    """The subject a named figure draws: a Bloch vector for the qubit
+    figures, the planar family's spectrum for the others."""
+    if figure not in _FIGURE_CLASSES:
+        raise ValueError(f"unknown figure {figure!r}")
+    if figure.startswith("qubit-"):
+        return _as_bloch(subject)
+    return _select_spectrum(subject, _FIGURE_CLASSES[figure])
+
+
 def figure_regions(figure: str, subject) -> dict:
     """Accessible and source regions for a named figure.
 
-    Figures: ``qubit-sio`` / ``qubit-pio`` (subject: Bloch vector),
-    ``qutrit`` (subject: pure state or length-3 spectrum), ``two-level``
-    (subject: state or length-2 spectrum).
+    Figures: ``qubit-sio`` / ``qubit-pio`` (subject: Bloch vector or
+    single-qubit state), ``qutrit`` (subject: pure state or length-3
+    spectrum), ``two-level`` (subject: state or length-2 spectrum).
     """
     from .monotones import region_geometry
 
-    if figure not in _FIGURE_CLASSES:
-        raise ValueError(f"unknown figure {figure!r}")
-    if isinstance(subject, QubitBloch) and not figure.startswith("qubit-"):
-        raise ValueError(f"the {figure} figure needs a state or spectrum, "
-                         "not a Bloch vector")
+    subject = _figure_subject(figure, subject)
     return {kind: region_geometry(subject, _FIGURE_CLASSES[figure], kind)
             for kind in ("accessible", "source")}

@@ -15,11 +15,13 @@ import numpy as np
 import pytest
 
 from cohertk.cli import main
-from cohertk.monotones import qubit_sio_Ca
+from cohertk.monotones import (qubit_pio_Ca, qubit_pio_Cs, qubit_sio_Ca,
+                               qubit_sio_Cs)
 from cohertk.serialize import dumps
 from cohertk.states import QubitBloch
 
 R2 = math.sqrt(0.5)
+RT = math.sqrt
 
 
 def write_json(tmp_path, name, payload):
@@ -396,6 +398,55 @@ def test_plot_csv_and_output_file(tmp_path, capsys):
     ET.fromstring(target.read_text(encoding="utf-8"))
 
 
+PLOT_SUBJECTS = {
+    "bloch": {"bloch": [0.5, 0.0, 0.3]},
+    "qubit-state": {"dims": [2], "amps": [[RT(0.7), 0.0], [RT(0.3), 0.0]]},
+    "spectrum-2": {"spectrum": [0.6, 0.4]},
+    "spectrum-3": {"spectrum": [0.5, 0.3, 0.2]},
+    "qutrit-state": {"dims": [3], "amps": [[RT(0.5), 0.0], [0.0, RT(0.3)],
+                                            [RT(0.2), 0.0]]},
+}
+
+
+@pytest.mark.parametrize("subject", sorted(PLOT_SUBJECTS))
+@pytest.mark.parametrize("figure", ["qubit-sio", "qubit-pio", "qutrit",
+                                    "two-level"])
+def test_plot_formats_read_the_subject_alike(tmp_path, capsys, figure,
+                                             subject):
+    # svg and csv draw the same regions, and the svg metadata describes
+    # the regions it draws
+    state = write_json(tmp_path, "subject.json", PLOT_SUBJECTS[subject])
+    runs = {fmt: run_cli(capsys, "plot", "--figure", figure, "--format",
+                         fmt, "--state", state) for fmt in ("svg", "csv")}
+    assert runs["svg"][0] == runs["csv"][0]
+    code, svg, err = runs["svg"]
+    if code != 0:
+        assert svg == "" and err.startswith("cohertk: error:")
+    else:
+        ns = "{http://www.w3.org/2000/svg}"
+        metadata = json.loads(ET.fromstring(svg).find(f"{ns}metadata").text)
+        for kind in ("accessible", "source"):
+            assert metadata[f"{kind}_area"] == pytest.approx(
+                metadata[f"{kind}_volume"], abs=1e-6)
+
+
+def test_plot_qubit_state_draws_its_bloch_regions(tmp_path, capsys):
+    # the state (sqrt(0.7), sqrt(0.3)) has Bloch vector (2 sqrt(0.21), 0, 0.4)
+    state = write_json(tmp_path, "q.json", PLOT_SUBJECTS["qubit-state"])
+    bloch = QubitBloch(2 * RT(0.21), 0.0, 0.4)
+    ns = "{http://www.w3.org/2000/svg}"
+    for figure, forms in (("qubit-sio", (qubit_sio_Ca, qubit_sio_Cs)),
+                          ("qubit-pio", (qubit_pio_Ca, qubit_pio_Cs))):
+        code, out, _ = run_cli(capsys, "plot", "--figure", figure,
+                               "--state", state)
+        assert code == 0
+        metadata = json.loads(ET.fromstring(out).find(f"{ns}metadata").text)
+        assert metadata["measure"] == "bloch-halfplane"
+        for kind, form in zip(("accessible", "source"), forms):
+            assert metadata[f"{kind}_volume"] == pytest.approx(
+                form(bloch).volume, abs=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # error handling and argument parsing
 
@@ -465,6 +516,13 @@ def test_bad_seed_environment_exits_1(tmp_path, capsys, monkeypatch):
     ["volume", "--method", "exact", "--class", "PIO", "--state", "SPEC"],
     ["volume", "--method", "mc", "--class", "PIO", "--samples", "1000",
      "--state", "SPEC"],
+    # --region is checked against the subject on every method
+    ["volume", "--method", "closed", "--region", "frobnicate",
+     "--state", "SPEC"],
+    ["volume", "--method", "exact", "--region", "coordinate-plane",
+     "--state", "SPEC"],
+    ["volume", "--method", "closed", "--region", "coordinate-plane",
+     "--state", "BLOCH"],
 ])
 def test_out_of_range_input_exits_1(tmp_path, capsys, argv):
     # dumps would write NaN as null, so the file is written by hand

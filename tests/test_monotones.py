@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 from cohertk.feasibility import LemmaNotApplicableError
 from cohertk.monotones import (
     MonotoneValue,
+    _as_bloch,
     _closed_monotone,
     _permutation_sum_fraction,
     _permutation_sums,
@@ -25,7 +26,8 @@ from cohertk.monotones import (
     source_coherence_closed,
     sup_source_volume,
 )
-from cohertk.states import PureState, QubitBloch, maximally_correlated_lift
+from cohertk.states import (PureState, QubitBloch, bloch_from_density,
+                            maximally_correlated_lift)
 
 RT = math.sqrt
 PIO_SUP = 1.0 + RT(2.0)
@@ -399,3 +401,27 @@ def test_region_geometry_validation():
         region_geometry(QubitBloch(0.5, 0.0, 0.0), "SIO", "outside")
     with pytest.raises(ValueError, match="no qubit region geometry"):
         region_geometry(QubitBloch(0.5, 0.0, 0.0), "LICC", "source")
+    # a bare sequence is a spectrum, never a Bloch vector
+    with pytest.raises(ValueError, match="sums to 0.8"):
+        region_geometry((0.5, 0.0, 0.3), "SIO", "source")
+
+
+def test_bloch_vectors_have_no_spectrum():
+    for operation_class in ("IC", "SIO", "PIO", "LICC", "FOO"):
+        with pytest.raises(ValueError, match="not a Bloch vector"):
+            _select_spectrum(QubitBloch(0.5, 0.0, 0.3), operation_class)
+
+
+def test_as_bloch_reads_pure_qubits_onto_the_sphere():
+    rng = np.random.default_rng(2024)
+    for amps in rng.normal(size=(200, 2)) + 1j * rng.normal(size=(200, 2)):
+        amps /= np.linalg.norm(amps)
+        r = _as_bloch(PureState((2,), amps))
+        assert abs(r.radius_sq - 1.0) <= 1e-12
+        projector = bloch_from_density(np.outer(amps, amps.conj()))
+        assert_allclose(r.as_tuple(), projector.as_tuple(), atol=1e-12)
+    bloch = QubitBloch(0.5, 0.0, 0.3)
+    assert _as_bloch(bloch) is bloch
+    for subject in ([0.6, 0.4], PureState((3,), [1, 0, 0])):
+        with pytest.raises(ValueError, match="single-qubit state"):
+            _as_bloch(subject)

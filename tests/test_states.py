@@ -180,6 +180,15 @@ def test_bloch_density_round_trip():
         assert_allclose(back.as_tuple(), r.as_tuple(), atol=1e-12)
 
 
+def test_density_bloch_round_trip_random_densities():
+    rng = np.random.default_rng(715)
+    for g in rng.normal(size=(200, 2, 2)) + 1j * rng.normal(size=(200, 2, 2)):
+        rho = g @ g.conj().T
+        rho /= np.trace(rho).real
+        assert_allclose(density_from_bloch(bloch_from_density(rho)), rho,
+                        atol=1e-12)
+
+
 def test_bloch_from_density_validation():
     with pytest.raises(ValueError, match="Hermitian"):
         bloch_from_density([[0.6, 0.2], [0.3, 0.4]])
