@@ -37,7 +37,7 @@ __all__ = [
     "verify_slicc_witness",
 ]
 
-#: Cap on the local-permutation search space of liu_equivalent.
+#: Cap on the signature-compatible permutation tuples of liu_equivalent.
 SEARCH_CAP = 10**6
 
 #: Global-phase-adjusted fidelity threshold for witness verification.
@@ -137,14 +137,87 @@ def _solve_torus(rows, rhs, n, tol=1e-6):
     return x if np.max(np.abs(wrapped)) <= tol else None
 
 
+def _slice_compatibility(mod_psi, mod_phi, dims) -> list:
+    """Per party, a boolean matrix whose entry (i, j) says whether index
+    i of psi may map to index j of phi.
+
+    It may only if the sorted moduli of the two slices agree as the full
+    modulus test does (``np.isclose``, ``atol=1e-8``, phi against psi).
+    That test bounds each phi modulus between two increasing functions
+    of its psi partner, and sorting both sides keeps such bounds, so no
+    tuple that passes the full test is ruled out.
+    """
+    tensor_psi, tensor_phi = mod_psi.reshape(dims), mod_phi.reshape(dims)
+    out = []
+    for k, d in enumerate(dims):
+        sig_psi = np.sort(np.moveaxis(tensor_psi, k, 0).reshape(d, -1))
+        sig_phi = np.sort(np.moveaxis(tensor_phi, k, 0).reshape(d, -1))
+        out.append(np.isclose(sig_phi[None], sig_psi[:, None],
+                              atol=1e-8).all(axis=2))
+    return out
+
+
+def _matching_bound(allowed) -> int:
+    """Upper bound on the number of permutations p with
+    ``allowed[i, p[i]]`` for every i; exact when the signatures fall
+    into classes.
+
+    Indices and images linked by allowed entries form connected
+    components.  A permutation maps each component's indices onto its
+    images, so none exists when a component has more of one than of the
+    other (the bound is then 0), and a component of size c allows at
+    most c! ways.  With classes, the components are the classes and
+    every bijection within one is allowed.
+    """
+    unseen, bound = np.ones(len(allowed), dtype=bool), 1
+    while unseen.any():
+        rows = np.zeros_like(unseen)
+        rows[np.argmax(unseen)] = True
+        while True:
+            cols = allowed[rows].any(axis=0)
+            grown = rows | allowed[:, cols].any(axis=1)
+            if (grown == rows).all():
+                break
+            rows = grown
+        if rows.sum() != cols.sum():
+            return 0
+        bound *= math.factorial(int(rows.sum()))
+        unseen &= ~rows
+    return bound
+
+
+def _compatible_permutations(allowed):
+    """Yield, in lexicographic order, the permutations p with
+    ``allowed[i, p[i]]`` for every i."""
+    images = [np.flatnonzero(row).tolist() for row in allowed]
+    perm, used = [0] * len(images), set()
+
+    def extend(i):
+        if i == len(images):
+            yield tuple(perm)
+            return
+        for j in images[i]:
+            if j not in used:
+                used.add(j)
+                perm[i] = j
+                yield from extend(i + 1)
+                used.discard(j)
+
+    return extend(0)
+
+
 def liu_equivalent(psi: PureState, phi: PureState, tol: float = AMP_TOL):
     """Search for a local permutation-with-phases map from psi to phi.
 
-    Exhausts all tuples of per-party permutations (product of factorials
-    capped at 1e6), matching the amplitude-modulus pattern first and
-    then solving the phase constraints exactly on the torus.  Every
-    candidate is verified by application before being returned, at
-    global-phase-adjusted fidelity ``1 - 1e-9``.
+    Index i of party k may map to index j only if the sorted moduli of
+    the two slices agree.  The tuples of per-party permutations that
+    respect this are tried in the order of the exhaustive search, so the
+    first witness is the same.  Their number is bounded before the
+    search: a bound of 0 answers ``None`` at once, one above
+    ``SEARCH_CAP`` raises.  Each tuple matches the amplitude-modulus
+    pattern first and then solves the phase constraints exactly on the
+    torus.  Every candidate is verified by application before being
+    returned, at global-phase-adjusted fidelity ``1 - 1e-9``.
 
     Returns a :class:`LiuWitness`, or ``None`` when no witness exists;
     since deterministic local incoherent interconversion of pure states
@@ -152,19 +225,20 @@ def liu_equivalent(psi: PureState, phi: PureState, tol: float = AMP_TOL):
     """
     if psi.dims != phi.dims:
         raise ValueError("states have different party structures")
-    space = 1
-    for d in psi.dims:
-        space *= math.factorial(d)
-    if space > SEARCH_CAP:
-        raise ValueError(f"permutation search space {space} exceeds cap {SEARCH_CAP}")
-
     mod_psi = np.abs(psi.amps)
     mod_phi = np.abs(phi.amps)
     if not np.allclose(np.sort(mod_psi), np.sort(mod_phi), atol=1e-8):
         return None
+    dims = psi.dims
+    allowed = _slice_compatibility(mod_psi, mod_phi, dims)
+    space = math.prod(_matching_bound(a) for a in allowed)
+    if space == 0:
+        return None
+    if space > SEARCH_CAP:
+        raise ValueError(f"permutation search space {space} exceeds cap "
+                         f"{SEARCH_CAP}")
 
     support = np.flatnonzero(mod_psi > tol)
-    dims = psi.dims
     n_unknowns = sum(dims)
     offsets = np.concatenate([[0], np.cumsum(dims)[:-1]])
     multi = np.array(np.unravel_index(support, dims)).T  # (m, parties)
@@ -176,8 +250,8 @@ def liu_equivalent(psi: PureState, phi: PureState, tol: float = AMP_TOL):
         rows.append(row)
     source_arg = np.angle(psi.amps[support])
 
-    for perms in itertools.product(*[itertools.permutations(range(d))
-                                     for d in dims]):
+    compatible = map(_compatible_permutations, allowed)
+    for perms in itertools.product(*compatible):
         flat = _permuted_flat_index(dims, perms)
         if not np.allclose(mod_phi[flat], mod_psi, atol=1e-8):
             continue
@@ -352,6 +426,32 @@ class TemplateWitness:
     beta: complex
 
 
+def _templates_r4(state: PureState):
+    """Yield the four rank-4 templates, diagonal-diagonal first, each
+    built only when asked for."""
+    if slicc_class_2qubit(state).rank != 4:
+        raise ValueError("witness templates exist only for rank-4 states")
+    a, b, c, d = state.amps
+    r = complex((a * d) / (b * c))
+
+    def template(name, mat_a, mat_b, invariant):
+        product = LocalChannelProduct(
+            [_sio_instrument(mat_a), _sio_instrument(mat_b)])
+        return TemplateWitness(name, product, invariant,
+                               *_canonical_parameters(invariant))
+
+    alpha, beta = _canonical_parameters(r)
+    yield template("diag-diag", [[alpha / (b * beta), 0], [0, 1.0 / d]],
+                   [[d * alpha / c, 0], [0, beta]], r)
+    alpha_inv, _ = _canonical_parameters(1.0 / r)
+    yield template("diag-antidiag", [[alpha_inv / b, 0], [0, alpha_inv / d]],
+                   [[0, 1.0], [b / a, 0]], 1.0 / r)
+    yield template("antidiag-diag", [[0, 1.0], [c / a, 0]],
+                   [[alpha_inv / c, 0], [0, alpha_inv / d]], 1.0 / r)
+    yield template("antidiag-antidiag", [[0, alpha / d], [alpha / b, 0]],
+                   [[0, 1.0], [d / c, 0]], r)
+
+
 def witness_templates_r4(state: PureState) -> list:
     """All four local operator templates mapping a rank-4 two-qubit
     state onto a canonical representative.
@@ -362,36 +462,7 @@ def witness_templates_r4(state: PureState) -> list:
     :func:`cohertk.channels.local_product_apply`, has its (0, 0) branch
     exactly equal to the canonical state of ``invariant``.
     """
-    if slicc_class_2qubit(state).rank != 4:
-        raise ValueError("witness templates exist only for rank-4 states")
-    a, b, c, d = state.amps
-    r = complex((a * d) / (b * c))
-    alpha, beta = _canonical_parameters(r)
-    alpha_inv, beta_inv = _canonical_parameters(1.0 / r)
-    templates = []
-
-    def add(name, mat_a, mat_b, invariant, al, be):
-        product = LocalChannelProduct(
-            [_sio_instrument(mat_a), _sio_instrument(mat_b)])
-        templates.append(TemplateWitness(name, product, invariant, al, be))
-
-    add("diag-diag",
-        np.array([[alpha / (b * beta), 0], [0, 1.0 / d]]),
-        np.array([[d * alpha / c, 0], [0, beta]]),
-        r, alpha, beta)
-    add("diag-antidiag",
-        np.array([[alpha_inv / b, 0], [0, alpha_inv / d]]),
-        np.array([[0, 1.0], [b / a, 0]]),
-        1.0 / r, alpha_inv, beta_inv)
-    add("antidiag-diag",
-        np.array([[0, 1.0], [c / a, 0]]),
-        np.array([[alpha_inv / c, 0], [0, alpha_inv / d]]),
-        1.0 / r, alpha_inv, beta_inv)
-    add("antidiag-antidiag",
-        np.array([[0, alpha / d], [alpha / b, 0]]),
-        np.array([[0, 1.0], [d / c, 0]]),
-        r, alpha, beta)
-    return templates
+    return list(_templates_r4(state))
 
 
 def canonical_form_r4(state: PureState) -> CanonicalForm:
@@ -401,7 +472,7 @@ def canonical_form_r4(state: PureState) -> CanonicalForm:
     ``beta/alpha = ad/(bc)``, and the diagonal-diagonal witness pair
     whose (0, 0) branch is exactly the canonical state.
     """
-    template = witness_templates_r4(state)[0]
+    template = next(_templates_r4(state))
     return CanonicalForm(alpha=template.alpha, beta=template.beta,
                          invariant=template.invariant,
                          witness=template.product)

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -204,7 +205,6 @@ def _mc_volume_payload(subject, region_name, args, seed):
 
 def _cmd_volume(args):
     subject = _load_subject(args.state)
-    seed = _resolve_seed(args.seed)
     region_name = _region_name(subject, args.region)
     if args.method == "closed":
         payload = dataclasses.asdict(_closed_monotone(
@@ -219,7 +219,8 @@ def _cmd_volume(args):
             raise ValueError(f"region {region_name!r} has no exact volume")
         payload = {"method": "exact", "volume": exact_polytope_volume(lam)}
     else:
-        payload = _mc_volume_payload(subject, region_name, args, seed)
+        payload = _mc_volume_payload(subject, region_name, args,
+                                     _resolve_seed(args.seed))
     _emit_json(payload, args.output)
     return 0
 
@@ -268,7 +269,11 @@ def _cmd_plot(args):
 # argument wiring
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument tree, built on first use and kept for the process;
+    each parse starts from a fresh namespace, so no call sees another's
+    arguments."""
     parser = _Parser(prog="cohertk",
                      description="coherence resource-theory toolkit")
     sub = parser.add_subparsers(dest="command", required=True,

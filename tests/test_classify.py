@@ -1,6 +1,8 @@
 """Tests for equivalence search, two-qubit classes, and canonical forms."""
 
+import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -8,7 +10,12 @@ from numpy.testing import assert_allclose
 
 from cohertk.channels import KrausOperator, local_product_apply
 from cohertk.classify import (
+    FIDELITY_TOL,
     LiuWitness,
+    _compatible_permutations,
+    _matching_bound,
+    _permuted_flat_index,
+    _slice_compatibility,
     _solve_torus,
     canonical_form_r4,
     canonical_state,
@@ -18,7 +25,7 @@ from cohertk.classify import (
     verify_slicc_witness,
     witness_templates_r4,
 )
-from cohertk.states import PureState
+from cohertk.states import AMP_TOL, PureState
 
 RT = math.sqrt
 
@@ -125,11 +132,188 @@ def test_solve_torus_with_a_pivot_of_minus_two():
 
 
 def test_liu_equivalent_search_cap():
-    basis = np.zeros(10)
-    basis[0] = 1.0
-    big = PureState((10,), basis)
+    # every index of the uniform state has the same slice signature, so
+    # all 10! permutations stay compatible
+    big = PureState((10,), np.full(10, 1 / math.sqrt(10)))
     with pytest.raises(ValueError, match="exceeds cap"):
         liu_equivalent(big, big)
+
+
+# ---------------------------------------------------------------------------
+# the pruned search against the exhaustive one
+
+
+def exhaustive_liu(psi, phi, tol=AMP_TOL):
+    """Reference oracle: try every tuple of per-party permutations in
+    ``itertools.product`` order, with the checks of the pruned search."""
+    mod_psi, mod_phi = np.abs(psi.amps), np.abs(phi.amps)
+    if not np.allclose(np.sort(mod_psi), np.sort(mod_phi), atol=1e-8):
+        return None
+    dims = psi.dims
+    support = np.flatnonzero(mod_psi > tol)
+    n_unknowns = sum(dims)
+    offsets = np.concatenate([[0], np.cumsum(dims)[:-1]])
+    rows = []
+    for idx in np.array(np.unravel_index(support, dims)).T:
+        row = [0] * n_unknowns
+        for k, i_k in enumerate(idx):
+            row[offsets[k] + i_k] = 1
+        rows.append(row)
+    source_arg = np.angle(psi.amps[support])
+    for perms in itertools.product(*[itertools.permutations(range(d))
+                                     for d in dims]):
+        flat = _permuted_flat_index(dims, perms)
+        if not np.allclose(mod_phi[flat], mod_psi, atol=1e-8):
+            continue
+        target_arg = np.angle(phi.amps[flat[support]])
+        solution = _solve_torus(rows, target_arg - source_arg, n_unknowns)
+        if solution is None:
+            continue
+        witness = LiuWitness(
+            tuple(tuple(p) for p in perms),
+            tuple(tuple(solution[offsets[k]:offsets[k] + dims[k]])
+                  for k in range(len(dims))))
+        image = witness.apply(psi)
+        if abs(np.vdot(phi.amps, image.amps)) >= 1.0 - FIDELITY_TOL:
+            return witness
+    return None
+
+
+def oracle_pair(rng, dims, moduli, relation):
+    """A seeded (psi, phi) pair for the oracle comparison.
+
+    ``moduli`` is how psi's moduli are drawn: generic, all equal, tied,
+    nearly tied, or with zeros.  ``relation`` makes phi a planted
+    relabeling of psi, the same with one phase turned (usually an
+    obstruction), or an unrelated state with nearly the same moduli.
+    """
+    total = int(np.prod(dims))
+    if moduli == "generic":
+        mod = rng.uniform(0.2, 1.0, total)
+    elif moduli == "equal":
+        mod = np.ones(total)
+    elif moduli == "ties":
+        mod = rng.choice([0.3, 0.6, 0.9], total)
+    elif moduli == "near":
+        # steps just inside the modulus tolerance (about 3e-6 at 0.3),
+        # so compatibility is not transitive
+        mod = rng.choice([0.3, 0.6], total) + rng.choice(
+            [0.0, 2e-6, 4e-6], total)
+    else:
+        mod = rng.uniform(0.2, 1.0, total) * (rng.random(total) < 0.6)
+        mod[0] = 1.0
+    if moduli in ("generic", "zeros"):
+        phases = np.exp(2j * np.pi * rng.random(total))
+    else:
+        # local phases only, so every tuple that matches the moduli
+        # (within tolerance) is a witness and the first one must agree
+        phases = np.ones(1)
+        for d in dims:
+            phases = np.kron(phases, np.exp(2j * np.pi * rng.random(d)))
+    psi = PureState(dims, mod * phases / np.linalg.norm(mod))
+    if relation == "unrelated":
+        other = rng.permutation(mod)
+        other[0] *= 1.1
+        return psi, PureState(dims, other * phases / np.linalg.norm(other))
+    phi = random_witness(rng, dims).apply(psi)
+    if relation == "obstructed":
+        amps = phi.amps.copy()
+        hot = np.flatnonzero(np.abs(amps) > 1e-12)
+        amps[hot[int(rng.integers(len(hot)))]] *= np.exp(
+            1j * rng.uniform(0.5, 2 * np.pi - 0.5))
+        phi = PureState(dims, amps)
+    return psi, phi
+
+
+def test_pruned_search_matches_exhaustive_oracle():
+    rng = np.random.default_rng(20180)
+    shapes = [(2, 2), (2, 3), (3, 2), (2, 2, 2), (3, 3), (2, 2, 3),
+              (3, 2, 2)]
+    kinds = list(itertools.product(
+        ["generic", "equal", "ties", "near", "zeros"],
+        ["planted", "obstructed", "unrelated"]))
+    verdicts = set()
+    for index in range(420):
+        dims = shapes[index % len(shapes)]
+        psi, phi = oracle_pair(rng, dims, *kinds[index % len(kinds)])
+        expected, got = exhaustive_liu(psi, phi), liu_equivalent(psi, phi)
+        assert (got is None) == (expected is None), (dims, index)
+        verdicts.add(got is None)
+        if got is None:
+            continue
+        assert got.permutations == expected.permutations
+        for ours, theirs in zip(got.phases, expected.phases):
+            assert_allclose(ours, theirs, rtol=0, atol=1e-12)
+    assert verdicts == {True, False}
+
+
+def test_liu_equivalent_decides_generic_555():
+    # 5!^3 = 1.7e6 tuples exceed the cap, but distinct slice signatures
+    # leave one compatible tuple
+    rng = np.random.default_rng(5)
+    psi = random_full_support_state(rng, (5, 5, 5))
+    planted = random_witness(rng, (5, 5, 5))
+    phi = planted.apply(psi)
+    found = liu_equivalent(psi, phi)
+    assert found is not None
+    assert found.permutations == tuple(tuple(int(i) for i in p)
+                                       for p in planted.permutations)
+    check_witness_maps(found, psi, phi)
+
+    amps = phi.amps.copy()
+    amps[7] *= np.exp(0.5j)
+    assert liu_equivalent(psi, PureState(phi.dims, amps)) is None
+
+
+def test_matching_bound_and_enumeration_agree_with_brute_force():
+    rng = np.random.default_rng(11)
+    for d in range(1, 6):
+        for trial in range(40):
+            classes = trial % 2 == 0
+            if classes:  # classes of indices, shuffled on both sides
+                labels = rng.integers(0, 3, d)
+                allowed = (labels[rng.permutation(d)][:, None]
+                           == labels[rng.permutation(d)][None])
+            else:
+                allowed = rng.random((d, d)) < rng.uniform(0.3, 0.9)
+            brute = [p for p in itertools.permutations(range(d))
+                     if all(allowed[i, p[i]] for i in range(d))]
+            bound = _matching_bound(allowed)
+            if classes:
+                assert bound == len(brute)
+            else:
+                assert bound >= len(brute)
+            assert list(_compatible_permutations(allowed)) == brute
+
+
+def test_liu_equivalent_empty_party_answers_none_at_once():
+    # party 0 keeps all 10! permutations, but no column signature of
+    # party 1 matches, so there is no compatible tuple at all
+    a, b = 0.1, math.sqrt(0.1 - 0.01)
+    psi = PureState((10, 2), np.tile([a, b], 10))
+    phi = PureState((10, 2), np.tile([a, b, b, a], 5))
+    start = time.perf_counter()
+    assert liu_equivalent(psi, phi) is None
+    assert time.perf_counter() - start < 2.0
+
+
+def test_liu_equivalent_caps_nontransitive_compatibility():
+    # psi_0 and phi_0 sit just over one tolerance apart, each within it
+    # of every other modulus: compatibility is not transitive and all
+    # but one of the 30 x 30 index pairs stay allowed
+    x, delta = 1 / math.sqrt(30), 1.2e-6
+    mod_psi, mod_phi = np.full(30, x), np.full(30, x)
+    mod_psi[0] -= delta
+    mod_phi[0] += delta
+    psi = PureState((30,), mod_psi / np.linalg.norm(mod_psi))
+    phi = PureState((30,), mod_phi / np.linalg.norm(mod_phi))
+    allowed, = _slice_compatibility(np.abs(psi.amps), np.abs(phi.amps),
+                                    (30,))
+    assert np.flatnonzero(~allowed.ravel()).tolist() == [0]
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="exceeds cap"):
+        liu_equivalent(psi, phi)
+    assert time.perf_counter() - start < 2.0
 
 
 # ---------------------------------------------------------------------------

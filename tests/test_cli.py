@@ -493,6 +493,47 @@ def test_bad_seed_environment_exits_1(tmp_path, capsys, monkeypatch):
     assert "COHERTK_SEED" in err
 
 
+def test_bad_seed_environment_spares_methods_that_draw_nothing(
+        tmp_path, capsys, monkeypatch):
+    spectrum = write_json(tmp_path, "spec.json", {"spectrum": [0.5, 0.3, 0.2]})
+    runs = {}
+    for seed in (None, "abc"):
+        if seed is None:
+            monkeypatch.delenv("COHERTK_SEED", raising=False)
+        else:
+            monkeypatch.setenv("COHERTK_SEED", seed)
+        for method in ("closed", "exact"):
+            runs[seed, method] = run_cli(capsys, "volume", "--method", method,
+                                         "--state", spectrum)
+    for method in ("closed", "exact"):
+        assert runs["abc", method] == runs[None, method]
+        assert runs[None, method][0] == 0
+
+
+def test_reused_parser_carries_nothing_between_calls(tmp_path, capsys,
+                                                     monkeypatch):
+    monkeypatch.delenv("COHERTK_SEED", raising=False)
+    bloch = write_json(tmp_path, "r.json", {"bloch": [0.5, 0.0, 0.3]})
+    volume = ["volume", "--method", "mc", "--kind", "accessible",
+              "--class", "SIO", "--state", bloch, "--samples", "2000"]
+    default = run_cli(capsys, *volume)
+    seeded = run_cli(capsys, *volume, "--seed", "5")
+    assert seeded != default
+    assert run_cli(capsys, *volume) == default
+
+    # a usage error leaves the next valid call's output alone
+    with pytest.raises(SystemExit):
+        main(["volume", "--method", "mc", "--frobnicate"])
+    capsys.readouterr()
+    assert run_cli(capsys, *volume) == default
+
+    # --output on one call does not redirect the next
+    target = tmp_path / "out.json"
+    assert run_cli(capsys, *volume, "--output", str(target)) == (0, "", "")
+    assert target.read_text(encoding="utf-8") == default[1]
+    assert run_cli(capsys, *volume) == default
+
+
 @pytest.mark.parametrize("argv", [
     ["check", "--suite", "lemma1", "--trials", "0"],
     ["check", "--suite", "monotonicity", "--monotone", "sio-Ca",
