@@ -9,7 +9,7 @@ from .channels import (IncoherentChannel, KrausOperator, LocalBranch,
                        LocalChannelProduct, apply_to_density, apply_to_pure,
                        complete_to_povm, local_product_apply, random_channel,
                        validate_class)
-from .classify import (CanonicalForm, LiuWitness, SliccClass, TemplateWitness,
+from .classify import (LiuWitness, SliccClass, TemplateWitness,
                        canonical_form_r4, canonical_state, liu_equivalent,
                        slicc_class_2qubit, slicc_equivalent_2qubit,
                        verify_slicc_witness, witness_templates_r4)
@@ -55,10 +55,9 @@ __all__ = [
     "majorizes", "pio_feasible_mask", "pio_qubit_feasible",
     "sio_feasible_mask", "sio_qubit_feasible",
     # classification
-    "CanonicalForm", "LiuWitness", "SliccClass", "TemplateWitness",
-    "canonical_form_r4", "canonical_state", "liu_equivalent",
-    "slicc_class_2qubit", "slicc_equivalent_2qubit", "verify_slicc_witness",
-    "witness_templates_r4",
+    "LiuWitness", "SliccClass", "TemplateWitness", "canonical_form_r4",
+    "canonical_state", "liu_equivalent", "slicc_class_2qubit",
+    "slicc_equivalent_2qubit", "verify_slicc_witness", "witness_templates_r4",
     # monotones
     "Arc", "MonotoneValue", "RegionGeometry", "Segment", "permutation_sum",
     "planar_example_volumes", "qubit_pio_Ca", "qubit_pio_Cs", "qubit_sio_Ca",

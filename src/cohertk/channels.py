@@ -123,33 +123,6 @@ class KrausOperator:
             mat[target, source] = coeff
         return mat
 
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.dim, dtype=complex)
-        for target, source, coeff in self.entries:
-            out[target] += coeff * vec[source]
-        return out
-
-    def sources(self) -> tuple:
-        return tuple(source for _, source, _ in self.entries)
-
-    def is_permutation_sparse(self) -> bool:
-        """True when the operator also has at most one entry per row."""
-        targets = [target for target, _, _ in self.entries]
-        return len(targets) == len(set(targets))
-
-    def is_unitary_permutation(self, atol: float = COMPLETENESS_TOL) -> bool:
-        """True for a full permutation with unimodular coefficients."""
-        if len(self.entries) != self.dim or not self.is_permutation_sparse():
-            return False
-        return all(abs(abs(coeff) - 1.0) <= atol for _, _, coeff in self.entries)
-
-    def inverse(self) -> "KrausOperator":
-        """Inverse of an invertible (generalized permutation) operator."""
-        if len(self.entries) != self.dim or not self.is_permutation_sparse():
-            raise ValueError("operator is not invertible")
-        return KrausOperator(self.dim, [(source, target, 1.0 / coeff)
-                                        for target, source, coeff in self.entries])
-
 
 def _kraus_array(ops) -> np.ndarray:
     """A Kraus set (:class:`KrausOperator` objects or dense matrices) as
@@ -258,9 +231,6 @@ class IncoherentChannel:
     @property
     def dim(self) -> int:
         return self.matrices.shape[-1]
-
-    def strongest_class(self) -> str:
-        return validate_class(self)
 
 
 def _apply_kraus(kraus, states):

@@ -27,7 +27,6 @@ from .states import AMP_TOL, PureState
 __all__ = [
     "SliccClass",
     "LiuWitness",
-    "CanonicalForm",
     "TemplateWitness",
     "liu_equivalent",
     "slicc_class_2qubit",
@@ -310,6 +309,12 @@ def _canonical_support(support) -> tuple:
     return min(tuple(sorted(i ^ mask for i in support)) for mask in _SWAPS)
 
 
+def _rank4_invariant(amps) -> complex:
+    """The invariant ``r = ad/(bc)`` of full-support amplitudes."""
+    a, b, c, d = amps
+    return complex((a * d) / (b * c))
+
+
 def slicc_class_2qubit(state: PureState, tol: float = AMP_TOL) -> SliccClass:
     """Classify a two-qubit pure state under stochastic local incoherent
     protocols.
@@ -334,9 +339,8 @@ def slicc_class_2qubit(state: PureState, tol: float = AMP_TOL) -> SliccClass:
         return SliccClass(2, subclass, pattern)
     if rank == 3:
         return SliccClass(3, "triangle", pattern)
-    a, b, c, d = amps
-    r = (a * d) / (b * c)
-    return SliccClass(4, "generic", pattern, _canonical_invariant(complex(r)))
+    return SliccClass(4, "generic", pattern,
+                      _canonical_invariant(_rank4_invariant(amps)))
 
 
 def _invariants_close(p: complex, q: complex, tol: float) -> bool:
@@ -344,22 +348,24 @@ def _invariants_close(p: complex, q: complex, tol: float) -> bool:
     return abs(p - q) <= tol * scale
 
 
-def slicc_equivalent_2qubit(psi: PureState, phi: PureState,
-                            tol: float = 1e-8) -> bool:
-    """Same stochastic-local-incoherent class?
-
-    Rank and subclass must agree; at rank 4 the invariants must match
-    as the unordered pair ``{r, 1/r}`` within relative tolerance.
-    """
-    cls_psi = slicc_class_2qubit(psi)
-    cls_phi = slicc_class_2qubit(phi)
-    if cls_psi.rank != cls_phi.rank or cls_psi.subclass != cls_phi.subclass:
+def _same_class(first: SliccClass, second: SliccClass,
+                tol: float = 1e-8) -> bool:
+    """Rank and subclass must agree; at rank 4 the invariants must match
+    as the unordered pair ``{r, 1/r}`` within relative tolerance."""
+    if (first.rank, first.subclass) != (second.rank, second.subclass):
         return False
-    if cls_psi.rank != 4:
+    if first.rank != 4:
         return True
-    p, q = cls_psi.invariant_r, cls_phi.invariant_r
+    p, q = first.invariant_r, second.invariant_r
     return (_invariants_close(p, q, tol)
             or _invariants_close(p, 1.0 / q, tol))
+
+
+def slicc_equivalent_2qubit(psi: PureState, phi: PureState,
+                            tol: float = 1e-8) -> bool:
+    """Same stochastic-local-incoherent class?  Compares the two
+    :func:`slicc_class_2qubit` labels."""
+    return _same_class(slicc_class_2qubit(psi), slicc_class_2qubit(phi), tol)
 
 
 def _sio_instrument(mat) -> IncoherentChannel:
@@ -387,24 +393,11 @@ def _sio_instrument(mat) -> IncoherentChannel:
     return IncoherentChannel("SIO", kraus)
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
-    """Canonical rank-4 representative and the operator pair reaching it.
-
-    The canonical state is ``alpha (|00> + |01> + |10>) + beta |11>``
-    with ``3 alpha^2 + |beta|^2 = 1``, ``alpha`` real positive and
-    ``beta = invariant * alpha``.  ``witness`` is a local two-outcome
-    channel pair whose (0, 0) branch maps the classified state exactly
-    onto the canonical state.
-    """
-
-    alpha: float
-    beta: complex
-    invariant: complex
-    witness: LocalChannelProduct
-
-
 def _canonical_parameters(invariant: complex):
+    """``(alpha, beta)`` of the canonical state
+    ``alpha (|00> + |01> + |10>) + beta |11>`` with
+    ``3 alpha^2 + |beta|^2 = 1``, ``alpha`` real positive and
+    ``beta = invariant * alpha``."""
     alpha = 1.0 / math.sqrt(3.0 + abs(invariant) ** 2)
     return alpha, invariant * alpha
 
@@ -432,7 +425,7 @@ def _templates_r4(state: PureState):
     if slicc_class_2qubit(state).rank != 4:
         raise ValueError("witness templates exist only for rank-4 states")
     a, b, c, d = state.amps
-    r = complex((a * d) / (b * c))
+    r = _rank4_invariant(state.amps)
 
     def template(name, mat_a, mat_b, invariant):
         product = LocalChannelProduct(
@@ -465,17 +458,15 @@ def witness_templates_r4(state: PureState) -> list:
     return list(_templates_r4(state))
 
 
-def canonical_form_r4(state: PureState) -> CanonicalForm:
+def canonical_form_r4(state: PureState) -> TemplateWitness:
     """Canonical representative of a rank-4 two-qubit state.
 
-    Returns ``alpha`` (real positive), ``beta`` with
-    ``beta/alpha = ad/(bc)``, and the diagonal-diagonal witness pair
-    whose (0, 0) branch is exactly the canonical state.
+    Returns the diagonal-diagonal :class:`TemplateWitness`: ``alpha``
+    (real positive), ``beta`` with ``beta/alpha = invariant = ad/(bc)``,
+    and the witness pair ``product`` whose (0, 0) branch is exactly the
+    canonical state.
     """
-    template = next(_templates_r4(state))
-    return CanonicalForm(alpha=template.alpha, beta=template.beta,
-                         invariant=template.invariant,
-                         witness=template.product)
+    return next(_templates_r4(state))
 
 
 def canonical_state(alpha: float, beta: complex) -> PureState:

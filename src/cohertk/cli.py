@@ -36,14 +36,13 @@ Exit status
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import os
 import sys
 
-from .classify import (canonical_form_r4, liu_equivalent, slicc_class_2qubit,
-                       slicc_equivalent_2qubit)
+from .classify import (_canonical_parameters, _rank4_invariant, _same_class,
+                       liu_equivalent, slicc_class_2qubit)
 from .feasibility import (_QUBIT_FAMILY, LemmaNotApplicableError,
                           ic_pure_feasible, licc_bipartite_feasible,
                           locc_pure_feasible, pio_qubit_feasible,
@@ -124,9 +123,10 @@ def _cmd_classify(args):
     }
     if label.rank == 4:
         payload["r"] = label.invariant_r
-        form = canonical_form_r4(state)
-        payload["canonical"] = {"alpha": form.alpha, "beta": form.beta,
-                                "invariant": form.invariant}
+        invariant = _rank4_invariant(state.amps)
+        alpha, beta = _canonical_parameters(invariant)
+        payload["canonical"] = {"alpha": alpha, "beta": beta,
+                                "invariant": invariant}
     _emit_json(payload, args.output)
     return 0
 
@@ -137,12 +137,9 @@ def _cmd_equiv(args):
     if not isinstance(first, PureState) or not isinstance(second, PureState):
         raise ValueError("equiv compares two pure states")
     if args.method == "slicc":
-        payload = {
-            "method": "slicc",
-            "equivalent": slicc_equivalent_2qubit(first, second),
-            "first": dataclasses.asdict(slicc_class_2qubit(first)),
-            "second": dataclasses.asdict(slicc_class_2qubit(second)),
-        }
+        labels = slicc_class_2qubit(first), slicc_class_2qubit(second)
+        payload = {"method": "slicc", "equivalent": _same_class(*labels),
+                   "first": labels[0], "second": labels[1]}
     else:
         witness = liu_equivalent(first, second)
         payload = {"method": "liu", "equivalent": witness is not None}
@@ -159,13 +156,15 @@ def _cmd_feasible(args):
     source = _load_subject(args.source)
     target = _load_subject(args.target)
     cls = args.operation_class.upper()
-    if (cls == "IC" and isinstance(source, PureState)
-            and isinstance(target, PureState)):
+    pure = isinstance(source, PureState) and isinstance(target, PureState)
+    if cls == "IC" and pure:
         verdict = ic_pure_feasible(source, target)
     elif cls in _QUBIT_FAMILY:
         fn = (sio_qubit_feasible if _QUBIT_FAMILY[cls] == "SIO"
               else pio_qubit_feasible)
         verdict = fn(_as_bloch(source), _as_bloch(target))
+    elif cls in ("LOCC", "LICC") and not pure:
+        raise ValueError(f"{cls} feasibility compares two pure states")
     elif cls == "LOCC":
         verdict = locc_pure_feasible(source, target, cut=args.cut)
     elif cls == "LICC":
@@ -181,7 +180,7 @@ def _cmd_feasible(args):
 def _cmd_monotone(args):
     value = _closed_monotone(_load_subject(args.state), args.kind,
                              args.operation_class, args.cut)
-    _emit_json(dataclasses.asdict(value), args.output)
+    _emit_json(value, args.output)
     return 0
 
 
@@ -200,16 +199,16 @@ def _mc_volume_payload(subject, region_name, args, seed):
     estimate = mc_volume(predicate, region, args.samples, seed)
     return {"method": "mc", "kind": args.kind, "class": cls,
             "region": region.name,
-            "estimate": dataclasses.asdict(estimate)}
+            "estimate": estimate}
 
 
 def _cmd_volume(args):
     subject = _load_subject(args.state)
     region_name = _region_name(subject, args.region)
     if args.method == "closed":
-        payload = dataclasses.asdict(_closed_monotone(
-            subject, args.kind, args.operation_class, args.cut,
-            planar=region_name == "coordinate-plane"))
+        payload = _closed_monotone(subject, args.kind, args.operation_class,
+                                   args.cut,
+                                   planar=region_name == "coordinate-plane")
     elif args.method == "exact":
         if args.kind != "source":
             raise ValueError("exact volumes cover only the source polytope; "
@@ -238,13 +237,12 @@ def _cmd_check(args):
     else:
         dims = tuple(int(d) for d in args.dims.split(","))
         report = formula_identity_check(args.count, dims, seed)
-    _emit_json(dataclasses.asdict(report), args.output)
+    _emit_json(report, args.output)
     return 0
 
 
 def _cmd_counterexample(args):
-    report = b3_b4_counterexamples(step=args.step)
-    _emit_json(dataclasses.asdict(report), args.output)
+    _emit_json(b3_b4_counterexamples(step=args.step), args.output)
     return 0
 
 

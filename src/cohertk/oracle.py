@@ -170,14 +170,13 @@ def mc_volume(predicate, region: SampleRegion, samples: int,
     samples = int(samples)
     if samples <= 0:
         raise ValueError("samples must be positive")
-    n_shards = (samples + SHARD_SIZE - 1) // SHARD_SIZE
-    children = np.random.SeedSequence(seed).spawn(n_shards)
+    # one child per shard, spawned as it is drawn: the same seeds as one
+    # spawn of them all, without a list sized by ``samples``
+    root = np.random.SeedSequence(seed)
     hits = 0
-    remaining = samples
-    for child in children:
-        m = min(SHARD_SIZE, remaining)
-        remaining -= m
-        rng = np.random.default_rng(child)
+    for start in range(0, samples, SHARD_SIZE):
+        m = min(SHARD_SIZE, samples - start)
+        rng = np.random.default_rng(root.spawn(1)[0])
         points = region.sample(rng, m)
         flags = np.asarray(predicate(points), dtype=bool)
         if flags.shape != (m,):

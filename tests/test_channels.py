@@ -77,33 +77,10 @@ def test_kraus_operator_rejects_non_finite_entries(bad):
         KrausOperator(2, [(0, 0, bad)])
 
 
-def test_kraus_matrix_and_apply_agree():
-    rng = np.random.default_rng(4)
+def test_kraus_matrix_round_trip():
     op = KrausOperator(3, [(1, 0, 0.3 + 0.4j), (1, 1, 0.5), (0, 2, -0.2j)])
-    vec = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    assert_allclose(op.apply(vec), op.matrix() @ vec, atol=1e-14)
     back = KrausOperator.from_matrix(op.matrix())
     assert back.entries == op.entries
-
-
-def test_kraus_permutation_predicates_and_inverse():
-    swap = KrausOperator(2, [(1, 0, 1.0), (0, 1, 1j)])
-    assert swap.is_permutation_sparse()
-    assert swap.is_unitary_permutation()
-    assert swap.sources() == (0, 1)
-    round_trip = swap.inverse().matrix() @ swap.matrix()
-    assert_allclose(round_trip, np.eye(2), atol=1e-14)
-
-    scaled = KrausOperator(2, [(1, 0, 0.5), (0, 1, 2.0)])
-    assert scaled.is_permutation_sparse()
-    assert not scaled.is_unitary_permutation()
-    assert_allclose(scaled.inverse().matrix() @ scaled.matrix(), np.eye(2),
-                    atol=1e-14)
-
-    collapse = KrausOperator(2, [(0, 0, R2), (0, 1, R2)])
-    assert not collapse.is_permutation_sparse()
-    with pytest.raises(ValueError, match="not invertible"):
-        KrausOperator(2, [(0, 0, 1.0)]).inverse()
 
 
 def test_validate_class_ladder():
@@ -136,7 +113,7 @@ def test_incoherent_channel_tag_consistency():
     # a stronger structure may carry a weaker tag
     channel = IncoherentChannel("SIO", [swap])
     assert channel.class_tag == "SIO"
-    assert channel.strongest_class() == "IU"
+    assert validate_class(channel) == "IU"
     assert channel.dim == 2
     with pytest.raises(ValueError, match="only IC, weaker"):
         IncoherentChannel("SIO", ic_pair())
@@ -216,7 +193,7 @@ def test_random_channel_classes_and_determinism():
         channel = random_channel(tag, dim, n_kraus, seed=99)
         again = random_channel(tag, dim, n_kraus, seed=99)
         assert channel.class_tag == tag
-        assert channel.strongest_class() == tag
+        assert validate_class(channel) == tag
         assert len(channel.kraus) == n_kraus
         check_completeness(channel.kraus)
         assert all(a.entries == b.entries
@@ -322,7 +299,7 @@ def test_random_ic_single_operator_is_a_phased_permutation():
     for seed in range(50):
         channel = random_channel("IC", 8, 1, seed)
         assert channel.class_tag == "IC"
-        assert channel.strongest_class() == "IU"
+        assert validate_class(channel) == "IU"
         check_completeness(channel.kraus)
 
 
@@ -348,7 +325,7 @@ def test_batched_kraus_sets_are_class_members(tag, n_kraus, dim):
     probs, branches, kept = _apply_kraus(kraus, amps)
     for c in range(100):
         channel = IncoherentChannel(tag, kraus[c])
-        assert _CLASS_ORDER[channel.strongest_class()] <= _CLASS_ORDER[tag]
+        assert _CLASS_ORDER[validate_class(channel)] <= _CLASS_ORDER[tag]
         assert_allclose(apply_to_density(channel, rho[c]), images[c],
                         rtol=0, atol=1e-12)
         dense = sum(k @ rho[c] @ k.conj().T for k in kraus[c])

@@ -443,7 +443,7 @@ def test_canonical_form_round_trip():
         pair = original.invariant_pair
         err = min(abs(cls.invariant_r - p) for p in pair)
         assert err <= 1e-8 * max(1.0, abs(original.invariant_r))
-        assert verify_slicc_witness(psi, rebuilt, form.witness)
+        assert verify_slicc_witness(psi, rebuilt, form.product)
 
 
 def test_verify_slicc_witness_accepts_every_operator_form():
@@ -481,7 +481,7 @@ def test_verify_slicc_witness_rejects_wrong_target():
     psi = random_full_support_state(rng, (2, 2))
     form = canonical_form_r4(psi)
     wrong = canonical_state(*_canonical_pair(0.25 + 0.1j))
-    assert not verify_slicc_witness(psi, wrong, form.witness)
+    assert not verify_slicc_witness(psi, wrong, form.product)
     with pytest.raises(ValueError, match="not invertible"):
         verify_slicc_witness(psi, psi, [np.diag([1.0, 0.0]), np.eye(2)])
     with pytest.raises(ValueError, match="operator count"):

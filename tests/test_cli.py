@@ -5,6 +5,7 @@ output; byte-level reproducibility and the seed environment variable
 are exercised through real subprocesses.
 """
 
+import itertools
 import json
 import math
 import subprocess
@@ -14,6 +15,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from cohertk import channels, classify, cli
 from cohertk.cli import main
 from cohertk.monotones import (qubit_pio_Ca, qubit_pio_Cs, qubit_sio_Ca,
                                qubit_sio_Cs)
@@ -121,6 +123,52 @@ def test_equiv_slicc_matches_inverse_invariant(tmp_path, capsys):
                        "--first", first, "--second", second)
     assert payload["equivalent"] is True
     assert payload["first"]["rank"] == payload["second"]["rank"] == 4
+
+
+#: Amplitudes (1, 2, 2, 1) / sqrt(10), with r = ad/(bc) = 1/4.
+RANK4_QUARTER = {"dims": [2, 2],
+                 "amps": [[RT(0.1), 0.0], [2 * RT(0.1), 0.0],
+                          [2 * RT(0.1), 0.0], [RT(0.1), 0.0]]}
+
+
+def test_classify_prints_the_raw_invariant_and_its_representative(
+        tmp_path, capsys):
+    # "r" is the representative 4 of {r, 1/r}; the canonical state is
+    # built from the raw r = 1/4
+    state = write_json(tmp_path, "state.json", RANK4_QUARTER)
+    payload = run_json(capsys, "classify", "--state", state)
+    assert complex(*payload["r"]) == pytest.approx(4.0, abs=1e-12)
+    canonical = payload["canonical"]
+    alpha = 1.0 / math.sqrt(3.0 + 1.0 / 16.0)
+    assert complex(*canonical["invariant"]) == pytest.approx(0.25, abs=1e-12)
+    assert canonical["alpha"] == pytest.approx(alpha, abs=1e-12)
+    assert complex(*canonical["beta"]) == pytest.approx(alpha / 4, abs=1e-12)
+
+
+def test_two_qubit_queries_label_each_state_once(tmp_path, capsys,
+                                                 monkeypatch):
+    calls, label = [], classify.slicc_class_2qubit
+
+    def counted(state, *args, **kwargs):
+        calls.append(state)
+        return label(state, *args, **kwargs)
+
+    def no_channel(*args, **kwargs):
+        raise AssertionError("classify built an IncoherentChannel")
+
+    for module in (classify, cli):
+        monkeypatch.setattr(module, "slicc_class_2qubit", counted)
+    monkeypatch.setattr(channels.IncoherentChannel, "__init__", no_channel)
+    first = write_json(tmp_path, "first.json",
+                       {"dims": [2, 2], "amps": [[0.5, 0.0], [0.5, 0.0],
+                                                 [0.5, 0.0], [0.0, 0.5]]})
+    second = write_json(tmp_path, "second.json", RANK4_QUARTER)
+    run_json(capsys, "classify", "--state", first)
+    assert len(calls) == 1
+    calls.clear()
+    run_json(capsys, "equiv", "--method", "slicc", "--first", first,
+             "--second", second)
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -577,6 +625,64 @@ def test_out_of_range_input_exits_1(tmp_path, capsys, argv):
     assert code == 1
     assert out == ""
     assert err.startswith("cohertk: error:") and err.count("\n") == 1
+
+
+MATRIX_SUBJECTS = {
+    "spectrum": {"spectrum": [0.5, 0.3, 0.2]},
+    "bloch": {"bloch": [0.5, 0.0, 0.3]},
+    "qubit": PLOT_SUBJECTS["qubit-state"],
+    "qutrit": PLOT_SUBJECTS["qutrit-state"],
+    "two-qubit": RANK4_QUARTER,
+    "three-qubit": {"dims": [2, 2, 2],
+                    "amps": [[R2, 0.0]] + [[0.0, 0.0]] * 6 + [[0.0, R2]]},
+}
+
+
+def _matrix_argvs():
+    names = sorted(MATRIX_SUBJECTS)
+    for first, second in itertools.product(names, repeat=2):
+        for cls in ("IC", "SIO", "PIO", "LICC", "LOCC"):
+            yield ["feasible", "--class", cls, "--source", first,
+                   "--target", second]
+        for method in ("liu", "slicc"):
+            yield ["equiv", "--method", method, "--first", first,
+                   "--second", second]
+    for name in names:
+        yield ["classify", "--state", name]
+        for kind in ("accessible", "source"):
+            for cls in ("IC", "SIO", "PIO"):
+                yield ["monotone", "--kind", kind, "--class", cls,
+                       "--state", name]
+            for method, region in itertools.product(
+                    ("closed", "exact", "mc"),
+                    (None, "simplex-sorted", "coordinate-plane",
+                     "bloch-disc", "bloch-half-disc")):
+                yield (["volume", "--method", method, "--kind", kind,
+                        "--samples", "500", "--state", name]
+                       + (["--region", region] if region else []))
+        for figure in ("qubit-sio", "qubit-pio", "qutrit", "two-level"):
+            for fmt in ("svg", "csv"):
+                yield ["plot", "--figure", figure, "--format", fmt,
+                       "--state", name]
+
+
+@pytest.fixture(scope="module")
+def matrix_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("subjects")
+    return {name: write_json(root, f"{name}.json", payload)
+            for name, payload in MATRIX_SUBJECTS.items()}
+
+
+@pytest.mark.parametrize("argv", list(_matrix_argvs()), ids=" ".join)
+def test_no_subcommand_raises(matrix_files, capsys, argv):
+    flags = ("--state", "--source", "--target", "--first", "--second")
+    code, out, err = run_cli(capsys, *(
+        matrix_files[arg] if flag in flags else arg
+        for flag, arg in zip([None] + argv, argv)))
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert out == ""
+        assert err.startswith("cohertk: error:") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for the exact and Monte-Carlo volume oracles and property suites."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -174,6 +175,37 @@ def test_mc_volume_rejects_bad_inputs():
         mc_volume(lambda pts: np.ones(len(pts), dtype=bool), region, 0)
     with pytest.raises(ValueError, match="one boolean per point"):
         mc_volume(lambda pts: np.ones(3, dtype=bool), region, 100)
+
+
+def test_mc_volume_shard_seeds_are_one_spawn():
+    # shard i draws from child i of one spawn of the seed
+    region = make_region("bloch-disc")
+    predicate = qubit_region_predicate(QubitBloch(0.5, 0.0, 0.3),
+                                       "SIO", "accessible")
+    sizes = [oracle.SHARD_SIZE] * 3 + [123]
+    children = np.random.SeedSequence(7).spawn(len(sizes))
+    hits = sum(int(predicate(region.sample(np.random.default_rng(c), m)).sum())
+               for c, m in zip(children, sizes))
+    est = mc_volume(predicate, region, sum(sizes), seed=7)
+    assert est.mean == region.measure * (hits / sum(sizes))
+
+
+def test_mc_volume_allocates_nothing_sized_by_samples():
+    # 10**10 samples are 10**5 shards; the predicate stops at the first
+    class FirstShard(Exception):
+        pass
+
+    def predicate(points):
+        raise FirstShard
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(FirstShard):
+            mc_volume(predicate, make_region("bloch-disc"), 10**10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 def check_mc_matches(predicate, region, expected, seed, samples=200_000):
