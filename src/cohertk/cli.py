@@ -12,6 +12,7 @@ Usage
             --state r.json --samples 1000000 [--seed N]
     cohertk check --suite monotonicity --monotone sio-Ca --class SIO \
             --trials 10000
+    cohertk check --suite identity --dims 2,3,4  (lengths 1..6)
     cohertk plot --figure qutrit --state phi.json [--format svg|csv]
     cohertk counterexample [--step 0.05]
 
@@ -30,7 +31,8 @@ Exit status
 0   success
 1   input error (bad flags, malformed files, unsupported combinations)
 2   a closed-form criterion's precondition is unmet (the comparison is
-    well-formed but this tool cannot decide it)
+    well-formed but this tool cannot decide it, as for ``--class LICC``
+    on a state that is not bipartite or has a non-diagonal reduced state)
 """
 
 from __future__ import annotations

@@ -127,6 +127,20 @@ def locc_pure_feasible(psi: PureState, phi: PureState, cut=None) -> FeasibilityV
     return majorization_verdict(s_phi, s_psi)
 
 
+def _licc_spectrum(state: PureState, cut=None) -> np.ndarray:
+    """Schmidt coefficients of a bipartite state with diagonal reduced
+    states, the spectrum every local-incoherent criterion reads; raises
+    :class:`LemmaNotApplicableError` for any other state."""
+    if state.n_parties != 2:
+        raise LemmaNotApplicableError("LICC criteria need a bipartite state")
+    data = schmidt_spectrum(state, cut)
+    if not (data.left_diagonal and data.right_diagonal):
+        raise LemmaNotApplicableError(
+            "a state has a non-diagonal reduced state; the "
+            "Schmidt-majorization criterion does not apply")
+    return data.coefficients
+
+
 def licc_bipartite_feasible(psi: PureState, phi: PureState) -> FeasibilityVerdict:
     """Convertibility ``psi -> phi`` under local incoherent operations
     and classical communication, for bipartite states whose reduced
@@ -135,21 +149,12 @@ def licc_bipartite_feasible(psi: PureState, phi: PureState) -> FeasibilityVerdic
     Raises
     ------
     LemmaNotApplicableError
-        When either state has a non-diagonal reduced state; the
-        criterion then simply does not decide the instance.
+        When either state is not bipartite or has a non-diagonal reduced
+        state; the criterion then simply does not decide the instance.
     """
-    if psi.n_parties != 2 or phi.n_parties != 2:
-        raise ValueError("both states must be bipartite")
     if psi.dims != phi.dims:
         raise ValueError("states have different party structures")
-    data_psi = schmidt_spectrum(psi)
-    data_phi = schmidt_spectrum(phi)
-    for label, data in (("source", data_psi), ("target", data_phi)):
-        if not (data.left_diagonal and data.right_diagonal):
-            raise LemmaNotApplicableError(
-                f"{label} state has a non-diagonal reduced state; the "
-                "Schmidt-majorization criterion does not apply")
-    return majorization_verdict(data_phi.coefficients, data_psi.coefficients)
+    return majorization_verdict(_licc_spectrum(phi), _licc_spectrum(psi))
 
 
 #: The class whose qubit criterion, forms and regions each class uses:

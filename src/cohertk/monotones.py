@@ -24,9 +24,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .feasibility import _QUBIT_FAMILY, LemmaNotApplicableError
+from .feasibility import _QUBIT_FAMILY, _licc_spectrum
 from .states import (PureState, QubitBloch, bloch_from_density,
-                     dephased_spectrum, schmidt_spectrum, sorted_spectrum)
+                     dephased_spectrum, sorted_spectrum)
 
 __all__ = [
     "MonotoneValue",
@@ -202,7 +202,10 @@ def _permutation_sum_fraction(spectrum, strip: bool = True) -> Fraction:
 
 def sup_source_volume(dim: int) -> float:
     """Largest source volume in ambient dimension ``dim`` (attained at
-    incoherent spectra): sqrt(d) / (d! (d-1)!)."""
+    incoherent spectra): sqrt(d) / (d! (d-1)!), for d up to 98; beyond
+    that d! (d-1)! overflows a float and ValueError is raised."""
+    if dim > 98:
+        raise ValueError(f"source volumes need at most 98 entries, got {dim}")
     return math.sqrt(dim) / (math.factorial(dim) * math.factorial(dim - 1))
 
 
@@ -241,14 +244,7 @@ def _select_spectrum(subject, operation_class: str, cut=None) -> np.ndarray:
         return sorted_spectrum(subject)
     if operation_class in ("IC", "SIO"):
         return dephased_spectrum(subject)
-    if subject.n_parties != 2:
-        raise LemmaNotApplicableError(
-            "local-incoherent path needs a bipartite state")
-    data = schmidt_spectrum(subject, cut)
-    if not (data.left_diagonal and data.right_diagonal):
-        raise LemmaNotApplicableError(
-            "reduced states are not diagonal in the reference basis")
-    return data.coefficients
+    return _licc_spectrum(subject, cut)
 
 
 def source_coherence_closed(state, operation_class: str = "IC",
@@ -325,10 +321,12 @@ def _on_pure_boundary(t, z):
 def _sio_source_volume(t, z):
     """Source area under strictly/fully incoherent qubit operations: the
     side caps on the pure boundary, the mixed-state area elsewhere.
-    Vectorized; a single point evaluates only its own branch."""
+    Vectorized; evaluates only the branches its points need."""
     pure = _on_pure_boundary(t, z)
-    if np.ndim(pure) == 0:
-        return _sio_source_volume_pure(z) if pure else _sio_source_volume_mixed(t, z)
+    if np.all(pure):
+        return _sio_source_volume_pure(z)
+    if not np.any(pure):
+        return _sio_source_volume_mixed(t, z)
     return np.where(pure, _sio_source_volume_pure(z),
                     _sio_source_volume_mixed(t, z))
 

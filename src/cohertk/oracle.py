@@ -7,15 +7,15 @@ Monte-Carlo volume estimation over feasibility predicates, and
 property-test drivers for the monotone axioms (nonincrease under free
 channels, and the two conditions — average coherence under selective
 measurements and convexity under mixing — that the volume monotones
-deliberately fail).
+deliberately fail).  A certificate compares a whole state with its
+weighted branches or components, all valued by the shared qubit kernels.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -23,11 +23,10 @@ import numpy as np
 from .channels import (_apply_kraus, _check_kraus, _random_kraus,
                        apply_to_density, apply_to_pure, random_channel)
 from .feasibility import _QUBIT_FAMILY, pio_feasible_mask, sio_feasible_mask
-from .monotones import (STRIP_TOL, _permutation_sums, _qubit_monotone,
-                        _sio_source_volume_mixed, _sio_source_volume_pure,
-                        permutation_sum, qubit_pio_Ca, qubit_pio_Cs,
-                        qubit_sio_Ca, qubit_sio_Cs, source_coherence_closed,
-                        sup_source_volume)
+from .monotones import (_QUBIT_FORM_NAMES, STRIP_TOL, _permutation_sums,
+                        _qubit_monotone, permutation_sum, qubit_pio_Ca,
+                        qubit_pio_Cs, qubit_sio_Ca, qubit_sio_Cs,
+                        source_coherence_closed, sup_source_volume)
 from .states import (AMP_TOL, PureState, QubitBloch, product_term_count,
                      sorted_spectrum)
 
@@ -402,6 +401,8 @@ def formula_identity_check(count: int = 100, dims=(2, 3, 4),
     absolute difference."""
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
+    if not all(1 <= d <= 6 for d in dims):
+        raise ValueError(f"dims must lie in 1..6, got {tuple(dims)}")
     rng = np.random.default_rng(seed)
     worst = 0.0
     for d in dims:
@@ -481,14 +482,23 @@ def _qubit_increases(monotone: str, kraus, bloch) -> np.ndarray:
     return after - _qubit_monotone(monotone, np.sqrt(x * x + y * y), z)
 
 
-def _qubit_trials(monotone: str, operation_class: str, trials: int,
-                  rng) -> np.ndarray:
+def _max_and_count(blocks, threshold):
+    """Largest value over the arrays ``blocks`` and how many exceed
+    ``threshold``, reduced block by block so memory stays flat."""
+    worst, count = -np.inf, 0
+    for block in map(np.asarray, blocks):
+        worst = np.maximum(worst, block.max())
+        count += int(np.count_nonzero(block > threshold))
+    return worst, count
+
+
+def _qubit_trials(monotone: str, operation_class: str, trials: int, rng):
     """Increases over ``trials`` random (Bloch vector, channel) trials,
-    with one checked Kraus stack per Kraus count in each block."""
+    one array per block, with one checked Kraus stack per Kraus count in
+    each block; the last trial is the audit trial."""
     lo, hi = _KRAUS_RANGE[operation_class]
-    increases = np.empty(trials)
-    for start in range(0, trials, _TRIAL_BLOCK):
-        block = increases[start:start + _TRIAL_BLOCK]
+    for start in range(0, trials - 1, _TRIAL_BLOCK):
+        block = np.empty(min(_TRIAL_BLOCK, trials - 1 - start))
         bloch = _ball_points(rng, block.size)
         n_kraus = rng.integers(lo, hi + 1, size=block.size)
         for k in np.unique(n_kraus):
@@ -496,7 +506,8 @@ def _qubit_trials(monotone: str, operation_class: str, trials: int,
             kraus = _random_kraus(operation_class, 2, int(k), idx.size, rng)
             _check_kraus(kraus, operation_class)
             block[idx] = _qubit_increases(monotone, kraus, bloch[idx])
-    return increases
+        yield block
+    yield [_qubit_audit_trial(monotone, operation_class, rng)]
 
 
 def _qubit_audit_trial(monotone: str, operation_class: str, rng) -> float:
@@ -540,14 +551,14 @@ def _source_closed_increases(before, after) -> np.ndarray:
     return sums[:len(before)] - sums[len(before):]
 
 
-def _source_closed_trials(trials: int, rng) -> np.ndarray:
+def _source_closed_trials(operation_class: str, trials: int, rng):
     """Increases of ``source-closed`` over ``trials`` random (spectrum,
-    majorizing target) trials."""
-    increases = np.empty(trials)
-    for start in range(0, trials, _TRIAL_BLOCK):
-        block = _spectrum_pairs(rng, min(_TRIAL_BLOCK, trials - start))
-        increases[start:start + len(block[0])] = _source_closed_increases(*block)
-    return increases
+    majorizing target) trials, one array per block; the last trial is
+    the audit trial."""
+    for start in range(0, trials - 1, _TRIAL_BLOCK):
+        yield _source_closed_increases(
+            *_spectrum_pairs(rng, min(_TRIAL_BLOCK, trials - 1 - start)))
+    yield [_source_closed_audit_trial(operation_class, rng)]
 
 
 def _source_closed_audit_trial(operation_class: str, rng) -> float:
@@ -587,8 +598,7 @@ def monotonicity_suite(monotone: str, operation_class: str, trials: int,
         if operation_class not in ("SIO", "IC", "LICC", "LSICC"):
             raise ValueError(
                 f"source-closed is not claimed monotone under {operation_class!r}")
-        increases = np.append(_source_closed_trials(trials - 1, rng),
-                              _source_closed_audit_trial(operation_class, rng))
+        blocks = _source_closed_trials(operation_class, trials, rng)
     else:
         if monotone not in _QUBIT_MONOTONES:
             raise ValueError(f"unknown monotone {monotone!r}")
@@ -597,12 +607,10 @@ def monotonicity_suite(monotone: str, operation_class: str, trials: int,
                 "partition-preserving monotones are claimed only under IU/PIO")
         if operation_class not in _KRAUS_RANGE:
             raise ValueError(f"unknown operation class {operation_class!r}")
-        increases = np.append(
-            _qubit_trials(monotone, operation_class, trials - 1, rng),
-            _qubit_audit_trial(monotone, operation_class, rng))
+        blocks = _qubit_trials(monotone, operation_class, trials, rng)
+    worst, count = _max_and_count(blocks, _MONOTONICITY_TOL)
     return MonotonicityReport(monotone, operation_class, trials, seed,
-                              _MONOTONICITY_TOL, float(increases.max()),
-                              int(np.count_nonzero(increases > _MONOTONICITY_TOL)))
+                              _MONOTONICITY_TOL, float(worst), count)
 
 
 @dataclass(frozen=True)
@@ -646,13 +654,13 @@ def _branch_changes(kraus, amps):
     return probs[kept], (after - before[:, None])[kept]
 
 
-def _lemma1_trials(trials: int, rng) -> np.ndarray:
-    """Branch changes of ``trials`` random Lemma-1 trials, with one
-    checked Kraus stack per shape, class and Kraus count in each block."""
-    changes = [np.empty(0, dtype=np.intp)]
-    for start in range(0, trials, _TRIAL_BLOCK):
+def _lemma1_trials(trials: int, rng):
+    """Branch changes of ``trials`` random Lemma-1 trials, one array per
+    shape, class and Kraus count in each block, with one checked Kraus
+    stack each; the last trial is the audit trial."""
+    for start in range(0, trials - 1, _TRIAL_BLOCK):
         shape, cls, n_kraus, amps = _lemma1_draws(
-            rng, min(_TRIAL_BLOCK, trials - start))
+            rng, min(_TRIAL_BLOCK, trials - 1 - start))
         groups = np.stack([shape, cls, n_kraus], axis=1)
         for group in np.unique(groups, axis=0):
             idx = np.flatnonzero((groups == group).all(axis=1))
@@ -660,8 +668,8 @@ def _lemma1_trials(trials: int, rng) -> np.ndarray:
             dim = math.prod(_LEMMA1_SHAPES[group[0]])
             kraus = _random_kraus(class_tag, dim, int(group[2]), idx.size, rng)
             _check_kraus(kraus, class_tag)
-            changes.append(_branch_changes(kraus, amps[idx, :dim])[1])
-    return np.concatenate(changes)
+            yield _branch_changes(kraus, amps[idx, :dim])[1]
+    yield _lemma1_audit_trial(rng)
 
 
 def _lemma1_audit_trial(rng) -> list:
@@ -690,10 +698,9 @@ def lemma1_suite(trials: int, seed: int = DEFAULT_SEED) -> Lemma1Report:
     functions, which must agree with the batched kernels."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    rng = np.random.default_rng(seed)
-    changes = np.append(_lemma1_trials(trials - 1, rng), _lemma1_audit_trial(rng))
-    return Lemma1Report(trials, seed, int(changes.max()),
-                        int(np.count_nonzero(changes > 0)))
+    worst, count = _max_and_count(
+        _lemma1_trials(trials, np.random.default_rng(seed)), 0)
+    return Lemma1Report(trials, seed, int(worst), count)
 
 
 # ---------------------------------------------------------------------------
@@ -738,98 +745,87 @@ class CounterexampleReport:
     grid_points: int
 
 
-# The grid's source values skip the pure/mixed test of the "sio-Cs"
-# closed form: grid points are strictly mixed or pure by construction,
-# and routing them through that test made the default scan about 30%
-# slower (median 121 -> 158 ms over 16 interleaved runs, 2-core VM).
-def _cs_value_mixed(t, z):
-    return 1.0 - _sio_source_volume_mixed(t, z) / math.pi
+#: A grid gap above this margin counts as a violation.
+_MARGIN = 1e-3
 
 
-def _cs_value_pure(z):
-    return 1.0 - _sio_source_volume_pure(z) / math.pi
-
-
-def _printed_eigenvector_bloch(t, z):
-    """Bloch data of the two eigenvectors exactly as printed
-    (unnormalized coefficients mapped to t = 2|c0 c1|, z = c0^2 - c1^2)
-    and under the normalized convention (unit vectors along the
-    +/- (t, z) axis)."""
-    w = math.hypot(t, z)
-    printed = []
-    for sign in (1.0, -1.0):
-        denom = t * t + z * z + sign * z * w
-        c0 = 0.5 * t * (z + sign * w) / denom
-        c1 = 0.5 * t * t / denom
-        printed.append((2.0 * abs(c0 * c1), c0 * c0 - c1 * c1))
-    normalized = [(t / w, z / w), (t / w, -z / w)]
-    weights = ((1.0 + w) / 2.0, (1.0 - w) / 2.0)
-    return weights, normalized, printed
+def _diagonal_branch(t, z, a, b):
+    """Weight and Bloch data (w, t, z) of the branch of the Kraus operator
+    diag(a, b) on the state with Bloch vector (t, 0, z); vectorized."""
+    rho00, rho11 = (1.0 + z) / 2.0, (1.0 - z) / 2.0
+    w = a * a * rho00 + b * b * rho11
+    return w, a * b * t / w, (a * a * rho00 - b * b * rho11) / w
 
 
 def _damping_branches(t, z, p, gamma):
-    """Weights and Bloch vectors of the nontrivial branches of the
-    two-sided damping channel on the state with Bloch vector (t, 0, z).
-    The two jump branches land on basis states (zero coherence) and are
-    omitted; their weights complete the total to 1."""
-    rho00 = (1.0 + z) / 2.0
-    rho11 = (1.0 - z) / 2.0
-    keep = np.sqrt(1.0 - gamma)
-    w0 = p * (rho00 + (1.0 - gamma) * rho11)
-    t0 = p * keep * t / w0
-    z0 = p * (rho00 - (1.0 - gamma) * rho11) / w0
-    w2 = (1.0 - p) * ((1.0 - gamma) * rho00 + rho11)
-    t2 = (1.0 - p) * keep * t / w2
-    z2 = (1.0 - p) * ((1.0 - gamma) * rho00 - rho11) / w2
-    return (w0, t0, z0), (w2, t2, z2)
+    """The branches sqrt(p) diag(1, sqrt(1-gamma)) and sqrt(1-p)
+    diag(sqrt(1-gamma), 1) of the two-sided damping channel.  Its two
+    jump branches land on basis states (zero coherence) and are omitted;
+    their weights complete the total to 1."""
+    keep = 1.0 - gamma
+    return (_diagonal_branch(t, z, np.sqrt(p), np.sqrt(p * keep)),
+            _diagonal_branch(t, z, np.sqrt((1.0 - p) * keep), np.sqrt(1.0 - p)))
 
 
-def _printed_instances():
-    out = []
+def _eigen_parts(t, z):
+    """Eigendecomposition of rho(t, z) as parts (weight, t, z): the pure
+    states along +/-(t, z), with weights (1 +/- |r|)/2.  Vectorized."""
+    w = np.hypot(t, z)
+    return ((1.0 + w) / 2.0, t / w, z / w), ((1.0 - w) / 2.0, t / w, -z / w)
 
-    # mixing (convexity) instances: eigendecomposition of rho(t, z)
-    for monotone, t, printed in (("sio-Ca", 0.1, 0.0994),
-                                 ("sio-Cs", 0.1, 0.6930)):
-        value = functools.partial(_qubit_monotone, monotone)
-        z = t
-        weights, normalized, as_printed = _printed_eigenvector_bloch(t, z)
-        mixed = float(value(t, z))
-        norm_val = mixed - sum(
-            wt * float(value(tt, zz))
-            for wt, (tt, zz) in zip(weights, normalized))
-        printed_val = mixed - sum(
-            wt * float(value(tt, zz))
-            for wt, (tt, zz) in zip(weights, as_printed))
-        label = ("accessible" if monotone == "sio-Ca" else "source") \
-            + "-coherence convexity gap, eigendecomposition at t=z=0.1"
-        out.append(PrintedInstance(
-            label=label,
-            parameters={"t": t, "z": z},
-            printed_value=printed,
-            normalized_convention=norm_val,
-            as_printed_convention=printed_val))
 
-    # selective-measurement instances: damping-channel branches
-    for monotone, params, printed in (
-            ("sio-Ca", {"p": 0.99, "gamma": 0.5, "t": 0.5, "z": 0.5}, -0.1912),
-            ("sio-Cs", {"p": 0.99, "gamma": 0.8, "t": 0.4, "z": 0.4}, -0.2123)):
-        value = functools.partial(_qubit_monotone, monotone)
-        t, z = params["t"], params["z"]
-        branches = _damping_branches(t, z, params["p"], params["gamma"])
-        whole = float(value(t, z))
-        weighted = whole - sum(w * float(value(tt, zz))
-                               for w, tt, zz in branches)
-        unweighted = whole - sum(float(value(tt, zz))
-                                 for _, tt, zz in branches)
-        label = ("accessible" if monotone == "sio-Ca" else "source") \
-            + "-coherence selective-measurement gap, damping channel"
-        out.append(PrintedInstance(
-            label=label,
-            parameters=params,
-            printed_value=printed,
-            normalized_convention=weighted,
-            as_printed_convention=unweighted))
-    return tuple(out)
+def _printed_eigen_parts(t, z):
+    """The eigendecomposition with the eigenvectors exactly as printed:
+    unnormalized coefficients mapped to t = 2|c0 c1|, z = c0^2 - c1^2."""
+    w = math.hypot(t, z)
+    parts = []
+    for (weight, _, _), sign in zip(_eigen_parts(t, z), (1.0, -1.0)):
+        denom = t * t + z * z + sign * z * w
+        c0 = 0.5 * t * (z + sign * w) / denom
+        c1 = 0.5 * t * t / denom
+        parts.append((weight, 2.0 * abs(c0 * c1), c0 * c0 - c1 * c1))
+    return parts
+
+
+def _part_values(monotone, parts):
+    """(weight, value) of ``monotone`` for each part (weight, t, z)."""
+    return [(w, _qubit_monotone(monotone, tb, zb)) for w, tb, zb in parts]
+
+
+def _excess(whole, part_values):
+    """Weighted coherence of the parts minus that of the whole: positive
+    where averaging over branches fails, negative where convexity fails."""
+    return sum(w * c for w, c in part_values) - whole
+
+
+#: What each literature family's gap measures, and its parts under the
+#: normalized and the as-printed convention.
+_EIGEN = ("convexity gap, eigendecomposition at t=z=0.1", _eigen_parts,
+          _printed_eigen_parts)
+_DAMPING = ("selective-measurement gap, damping channel", _damping_branches,
+            lambda **params: [(1.0, tb, zb) for _, tb, zb
+                              in _damping_branches(**params)])
+
+#: The literature instances: monotone, family, parameters, printed value.
+_PRINTED_INSTANCES = (
+    ("accessible", _EIGEN, {"t": 0.1, "z": 0.1}, 0.0994),
+    ("source", _EIGEN, {"t": 0.1, "z": 0.1}, 0.6930),
+    ("accessible", _DAMPING, {"p": 0.99, "gamma": 0.5, "t": 0.5, "z": 0.5},
+     -0.1912),
+    ("source", _DAMPING, {"p": 0.99, "gamma": 0.8, "t": 0.4, "z": 0.4},
+     -0.2123),
+)
+
+
+def _printed_instance(name, family, params, printed):
+    """One literature instance: whole minus parts under both conventions."""
+    what, *conventions = family
+    monotone = _QUBIT_FORM_NAMES[name, "SIO"]
+    whole = _qubit_monotone(monotone, params["t"], params["z"])
+    gaps = (-float(_excess(whole, _part_values(monotone, parts(**params))))
+            for parts in conventions)
+    return PrintedInstance(f"{name}-coherence {what}", dict(params), printed,
+                           *gaps)
 
 
 def b3_b4_counterexamples(step: float = 0.05) -> CounterexampleReport:
@@ -864,100 +860,61 @@ def b3_b4_counterexamples(step: float = 0.05) -> CounterexampleReport:
     if per_axis ** 4 > _MAX_GRID_POINTS:
         raise ValueError(f"step {step} is too small: the grid would exceed "
                          f"{_MAX_GRID_POINTS} points")
-    margin = 1e-3
-    ca_value = functools.partial(_qubit_monotone, "sio-Ca")
     axis = np.arange(lo, hi, step)
     t, z, p, g = np.meshgrid(axis, axis, axis, axis, indexing="ij")
     t, z, p, g = (a.ravel() for a in (t, z, p, g))
     valid = t * t + z * z < 1.0 - 1e-9
     t, z, p, g = t[valid], z[valid], p[valid], g[valid]
+    grid = {"t": t, "z": z, "p": p, "gamma": g}
 
-    ca_in = ca_value(t, z)
-    cs_in = _cs_value_mixed(t, z)
+    damping = _damping_branches(t, z, p, g)
+    # instruments diag(a, b), diag(sqrt(1-a^2), sqrt(1-b^2)) on the p, gamma
+    # axes; these stop at 0.95, so no branch weight is below 1 - 0.95^2
+    instrument = (_diagonal_branch(t, z, p, g),
+                  _diagonal_branch(t, z, np.sqrt(1.0 - p * p),
+                                   np.sqrt(1.0 - g * g)))
+    eigen = _eigen_parts(t, z)
+    # mixtures p rho(t, z) + (1 - p) diag with bias 2 gamma - 1; the
+    # incoherent component has zero coherence and is left out
+    mixture = (p * t, p * z + (1.0 - p) * (2.0 * g - 1.0))
 
-    results = []
-
-    # selective measurement: damping-channel branches, both readings
-    (w0, t0, z0), (w2, t2, z2) = _damping_branches(t, z, p, g)
-    for name, value_in, fn in (("accessible", ca_in, ca_value),
-                               ("source", cs_in, _cs_value_mixed)):
-        c0, c2 = fn(t0, z0), fn(t2, z2)
-        for reading, total in (("unweighted", c0 + c2),
-                               ("weighted", w0 * c0 + w2 * c2)):
-            gap = total - value_in  # positive = violation
-            results.append(_summarize(
-                "selective-measurement", name, gap, margin, reading=reading,
-                family="damping", t=t, z=z, p=p, gamma=g))
-
-    # weighted selective measurement over two-outcome diagonal
-    # instruments (a, b axes replace p, gamma; same grid bounds)
-    a, b, ti, zi = p, g, t, z
-    rho00, rho11 = (1.0 + zi) / 2.0, (1.0 - zi) / 2.0
-    wa = a * a * rho00 + b * b * rho11
-    ta, za = a * b * ti / wa, (a * a * rho00 - b * b * rho11) / wa
-    ac, bc = np.sqrt(1.0 - a * a), np.sqrt(1.0 - b * b)
-    wb = 1.0 - wa
-    safe_wb = np.where(wb > 1e-12, wb, 1.0)
-    tb = ac * bc * ti / safe_wb
-    zb = (ac * ac * rho00 - bc * bc * rho11) / safe_wb
-    for name, fn in (("accessible", ca_value), ("source", _cs_value_mixed)):
-        avg = wa * fn(ta, za) + np.where(wb > 1e-12, wb * fn(tb, zb), 0.0)
-        gap = avg - fn(ti, zi)
-        results.append(_summarize(
-            "selective-measurement", name, gap, margin, reading="weighted",
-            family="diagonal-instrument", a=a, b=b, t=ti, z=zi))
-
-    # convexity family 1: eigendecomposition into the +/- pure states
-    w = np.sqrt(t * t + z * z)
-    lam1 = (1.0 + w) / 2.0
-    lam2 = (1.0 - w) / 2.0
-    tp, zp = t / w, z / w
-    ca_pure = ca_value(tp, zp)           # even in z
-    cs_pure1 = _cs_value_pure(zp)
-    cs_pure2 = _cs_value_pure(-zp)
-    eigen_gap_ca = ca_in - ca_pure       # lam1 + lam2 = 1
-    eigen_gap_cs = cs_in - lam1 * cs_pure1 - lam2 * cs_pure2
-
-    # convexity family 2: mix with an incoherent state of bias 2 gamma - 1
-    bias = 2.0 * g - 1.0
-    t_mix = p * t
-    z_mix = p * z + (1.0 - p) * bias
-    mix_gap_ca = ca_value(t_mix, z_mix) - p * ca_in
-    mix_gap_cs = _cs_value_mixed(t_mix, z_mix) - p * cs_in
-
-    for name, eigen_gap, mix_gap in (
-            ("accessible", eigen_gap_ca, mix_gap_ca),
-            ("source", eigen_gap_cs, mix_gap_cs)):
-        eig = _summarize("convexity", name, eigen_gap, margin,
-                         reading="weighted", family="eigendecomposition",
-                         t=t, z=z)
-        mix = _summarize("convexity", name, mix_gap, margin,
-                         reading="weighted", family="incoherent-mixture",
-                         t=t, z=z, p=p, gamma=g)
+    damped, instruments, convexity = [], [], []
+    for name in ("accessible", "source"):
+        monotone = _QUBIT_FORM_NAMES[name, "SIO"]
+        whole = _qubit_monotone(monotone, t, z)
+        values = _part_values(monotone, damping)
+        for reading, parts in (("unweighted", [(1.0, c) for _, c in values]),
+                               ("weighted", values)):
+            damped.append(_summarize("selective-measurement", name, reading,
+                                     "damping", _excess(whole, parts), **grid))
+        instruments.append(_summarize(
+            "selective-measurement", name, "weighted", "diagonal-instrument",
+            _excess(whole, _part_values(monotone, instrument)),
+            a=p, b=g, t=t, z=z))
+        eig = _summarize(
+            "convexity", name, "weighted", "eigendecomposition",
+            -_excess(whole, _part_values(monotone, eigen)), t=t, z=z)
+        mix = _summarize(
+            "convexity", name, "weighted", "incoherent-mixture",
+            -_excess(_qubit_monotone(monotone, *mixture), [(p, whole)]), **grid)
         best = eig if eig.best_margin >= mix.best_margin else mix
-        results.append(GridViolations(
-            condition="convexity", monotone=name, reading="weighted",
-            count=eig.count + mix.count,
-            best_margin=best.best_margin,
-            best_parameters=best.best_parameters))
+        convexity.append(replace(best, count=eig.count + mix.count))
 
-    weights, _, _ = _printed_eigenvector_bloch(0.1, 0.1)
     return CounterexampleReport(
-        largest_eigenvalue_check=weights[0],
-        printed_instances=_printed_instances(),
-        grid=tuple(results),
+        largest_eigenvalue_check=float(_eigen_parts(0.1, 0.1)[0][0]),
+        printed_instances=tuple(_printed_instance(*row)
+                                for row in _PRINTED_INSTANCES),
+        grid=tuple(damped + instruments + convexity),
         grid_points=int(t.size))
 
 
-def _summarize(condition, monotone, gaps, margin, reading, family=None,
-               **params):
-    over = gaps > margin
-    count = int(over.sum())
+def _summarize(condition, monotone, reading, family, gaps, **params):
+    """One grid row: how many gaps exceed the margin, and the largest gap
+    with its grid parameters and family."""
     best = int(np.argmax(gaps))
-    best_params = {k: float(v[best]) for k, v in params.items()}
-    if family is not None:
-        best_params["family"] = family
-    return GridViolations(condition=condition, monotone=monotone,
-                          reading=reading, count=count,
-                          best_margin=float(gaps[best]),
-                          best_parameters=best_params)
+    return GridViolations(
+        condition=condition, monotone=monotone, reading=reading,
+        count=int(np.count_nonzero(gaps > _MARGIN)),
+        best_margin=float(gaps[best]),
+        best_parameters={k: float(v[best]) for k, v in params.items()}
+        | {"family": family})

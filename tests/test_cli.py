@@ -236,6 +236,23 @@ def test_feasible_licc_skew_state_exits_2(tmp_path, capsys, bell):
     assert payload["reason"]
 
 
+@pytest.mark.parametrize("state", [
+    {"dims": [2, 2, 2], "amps": [[R2, 0.0]] + [[0.0, 0.0]] * 6 + [[R2, 0.0]]},
+    {"dims": [2, 2], "amps": [[0.5, 0.0]] * 4},
+], ids=["ghz", "skew"])
+def test_licc_precondition_answers_alike_everywhere(tmp_path, capsys, state):
+    # one reader decides whether a state has an LICC spectrum, so a
+    # feasibility query and a monotone query on it fail the same way
+    path = write_json(tmp_path, "state.json", state)
+    answers = [run_cli(capsys, *argv) for argv in (
+        ("feasible", "--class", "LICC", "--source", path, "--target", path),
+        ("monotone", "--kind", "source", "--class", "LICC", "--state", path),
+        ("volume", "--method", "exact", "--class", "LICC", "--state", path))]
+    assert {code for code, _, _ in answers} == {2}
+    assert len({out for _, out, _ in answers}) == 1
+    assert json.loads(answers[0][1])["applicable"] is False
+
+
 def test_feasible_unknown_class_exits_1(tmp_path, capsys, bell):
     code, _, err = run_cli(capsys, "feasible", "--source", bell,
                            "--target", bell, "--class", "MIO")
@@ -612,15 +629,28 @@ def test_reused_parser_carries_nothing_between_calls(tmp_path, capsys,
      "--state", "SPEC"],
     ["volume", "--method", "closed", "--region", "coordinate-plane",
      "--state", "BLOCH"],
+    # d! (d-1)! overflows a float for length-200 spectra
+    ["monotone", "--kind", "source", "--state", "LONG"],
+    ["volume", "--method", "closed", "--state", "LONG"],
+    ["volume", "--method", "mc", "--samples", "1000", "--state", "FLAT"],
+    # identity dims are checked before anything is computed
+    ["check", "--suite", "identity", "--dims", "200", "--count", "1"],
+    ["check", "--suite", "identity", "--dims", "2,100000000", "--count", "1"],
+    ["check", "--suite", "identity", "--dims", "0", "--count", "1"],
 ])
 def test_out_of_range_input_exits_1(tmp_path, capsys, argv):
     # dumps would write NaN as null, so the file is written by hand
     nan_bloch = tmp_path / "nan.json"
     nan_bloch.write_text('{"bloch": [NaN, 0, 0.2]}', encoding="utf-8")
-    spectrum = write_json(tmp_path, "spec.json", {"spectrum": [0.5, 0.3, 0.2]})
-    bloch = write_json(tmp_path, "r.json", {"bloch": [0.5, 0.0, 0.3]})
-    argv = [{"NAN": str(nan_bloch), "SPEC": spectrum, "BLOCH": bloch}.get(arg, arg)
-            for arg in argv]
+    files = {
+        "NAN": str(nan_bloch),
+        "SPEC": write_json(tmp_path, "spec.json", {"spectrum": [0.5, 0.3, 0.2]}),
+        "BLOCH": write_json(tmp_path, "r.json", {"bloch": [0.5, 0.0, 0.3]}),
+        "LONG": write_json(tmp_path, "long.json",
+                           {"spectrum": [0.5, 0.5] + [0.0] * 198}),
+        "FLAT": write_json(tmp_path, "flat.json", {"spectrum": [0.005] * 200}),
+    }
+    argv = [files.get(arg, arg) for arg in argv]
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
     assert out == ""

@@ -318,8 +318,8 @@ def test_monotonicity_suite_validates_claims():
 def test_batched_trials_find_increases_of_an_unclaimed_pair():
     # a negative control: pio-Cs does increase under some SIO channels,
     # so batched trials that computed nothing would be caught here
-    increases = _qubit_trials("pio-Cs", "SIO", 2000,
-                              np.random.default_rng(DEFAULT_SEED))
+    increases = np.concatenate(list(_qubit_trials(
+        "pio-Cs", "SIO", 2000, np.random.default_rng(DEFAULT_SEED))))
     assert increases.shape == (2000,)
     assert np.count_nonzero(increases > 1e-8) > 0
 
@@ -373,6 +373,27 @@ def test_monotonicity_suite_rejects_no_trials(trials):
 def test_lemma1_suite_rejects_no_trials(trials):
     with pytest.raises(ValueError, match="trials"):
         lemma1_suite(trials)
+
+
+@pytest.mark.parametrize("suite, trials", [
+    (lambda n: monotonicity_suite("sio-Ca", "SIO", n), 60_000),
+    (lambda n: monotonicity_suite("source-closed", "IC", n), 60_000),
+    (lemma1_suite, 30_000),
+], ids=["sio-Ca", "source-closed", "lemma1"])
+def test_suites_allocate_nothing_sized_by_trials(suite, trials):
+    # each block is reduced to its maximum and count as it is drawn, so
+    # many trials peak no higher than a few; keeping every trial's value
+    # grows the peak by at least 16 bytes a trial
+    suite(3000)
+    peaks = []
+    for count in (3000, trials):
+        tracemalloc.start()
+        try:
+            suite(count)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 0.4 * 2**20
 
 
 def test_lemma1_suite_never_increases_terms():
@@ -461,3 +482,33 @@ def test_counterexample_grid_certifications(counterexample_report):
     assert len(weighted_accessible) == 2  # damping + diagonal instruments
     assert all(g.count == 0 for g in weighted_accessible)
     assert all(g.best_margin < 1e-3 for g in weighted_accessible)
+
+
+# count and best margin of each grid row, in report order, and the
+# (normalized, as-printed) values of the four printed instances: counts
+# must not move, and values only by rounding
+_PINNED_GRID = {
+    0.05: [(105412, 0.9837222101749288), (0, -0.0010858778372613218),
+           (105412, 0.9985694964690244), (0, -0.0006496732199404165),
+           (0, 4.440892098500626e-16), (8149, 0.007696392426934651),
+           (30229, 0.04181193219669932), (77913, 0.5837243048628976)],
+    0.2: [(550, 0.9120440454103327), (0, -0.0011375907975213762),
+          (550, 0.9739140575812528), (0, -0.0011310754366709863),
+          (0, 2.220446049250313e-16), (40, 0.005810798131574146),
+          (163, 0.03012958442434205), (399, 0.2887789743300515)],
+}
+_PINNED_PRINTED = [(-0.717848888442941, -0.24939949181216406),
+                   (-0.6911556739682577, -0.2910750208088586),
+                   (0.13448031498633278, -0.49997318643056876),
+                   (0.16785226850268198, -0.45333357314006795)]
+
+
+@pytest.mark.parametrize("step", sorted(_PINNED_GRID))
+def test_counterexample_numbers_are_pinned(step):
+    report = b3_b4_counterexamples(step=step)
+    assert [g.count for g in report.grid] == [c for c, _ in _PINNED_GRID[step]]
+    assert_allclose([g.best_margin for g in report.grid],
+                    [m for _, m in _PINNED_GRID[step]], rtol=0, atol=1e-12)
+    assert_allclose([(inst.normalized_convention, inst.as_printed_convention)
+                     for inst in report.printed_instances],
+                    _PINNED_PRINTED, rtol=0, atol=1e-12)
