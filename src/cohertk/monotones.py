@@ -281,8 +281,6 @@ def _sio_accessible_volume(t, z):
     """Accessible area under strictly/fully incoherent qubit operations:
     the ellipse x^2 (1-z_r^2)/t_r^2 + z^2 <= 1 cut to the strip
     |x| <= t_r.  Vectorized over numpy arrays."""
-    t = np.asarray(t, dtype=float)
-    z = np.asarray(z, dtype=float)
     safe = np.where(t > 0, t, 1.0)
     one_minus = np.clip(1.0 - z * z, 0.0, None)
     body = (2.0 * safe / np.sqrt(np.where(one_minus > 0, one_minus, 1.0))
@@ -294,8 +292,6 @@ def _sio_accessible_volume(t, z):
 def _sio_source_volume_mixed(t, z):
     """Source area for strictly mixed qubit states (|r| < 1): the disc
     minus the strip-and-ellipse exclusion.  Vectorized."""
-    t = np.asarray(t, dtype=float)
-    z = np.asarray(z, dtype=float)
     one_minus_t = np.clip(1.0 - t * t, 0.0, None)
     one_minus_z = np.clip(1.0 - z * z, 0.0, None)
     safe = np.where(one_minus_z > 0, one_minus_z, 1.0)
@@ -333,8 +329,6 @@ def _sio_source_volume(t, z):
 
 def _pio_accessible_volume(t, z):
     """Hexagon area 2 t (1 + |z|), vectorized."""
-    t = np.asarray(t, dtype=float)
-    z = np.asarray(z, dtype=float)
     return 2.0 * t * (1.0 + np.abs(z))
 
 
@@ -349,8 +343,6 @@ def _pio_source_volume(t, z):
     beyond the pure boundary), while for k >= 1 it is the side strip
     minus two triangles.  t = 0 gives the whole disc.
     """
-    t = np.asarray(t, dtype=float)
-    z = np.asarray(z, dtype=float)
     az = np.abs(z)
     degenerate = t <= STRIP_TOL
     safe_t = np.where(degenerate, 1.0, t)

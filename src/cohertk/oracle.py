@@ -89,7 +89,8 @@ class SampleRegion:
     """A sampleable base region with known measure.
 
     ``sample(rng, n)`` returns an (n, dimension) array of points drawn
-    uniformly from the region.
+    uniformly from the region.  Its rows are short (2 to d entries), so a
+    predicate should read columns rather than reduce along a row.
     """
 
     name: str
@@ -112,9 +113,8 @@ def _sample_sorted_simplex(d):
 
 def _sample_coordinate_plane(rng, n):
     pts = rng.random((n, 2))
-    fold = pts.sum(axis=1) > 1.0
-    pts[fold] = 1.0 - pts[fold]
-    return pts
+    fold = pts[:, 0] + pts[:, 1] > 1.0
+    return np.subtract(1.0, pts, out=pts, where=fold[:, None])
 
 
 def _sample_disc(theta_lo, theta_hi):
@@ -140,21 +140,15 @@ def make_region(name: str, dim: int = None) -> SampleRegion:
     if name == "simplex-sorted":
         if dim is None or dim < 2:
             raise ValueError("simplex-sorted needs dim >= 2")
-        return SampleRegion(name=f"simplex-sorted-{dim}",
-                            measure=sup_source_volume(dim),
-                            dimension=dim,
-                            _sampler=_sample_sorted_simplex(dim))
-    if name == "coordinate-plane":
-        return SampleRegion(name=name, measure=0.5, dimension=2,
-                            _sampler=_sample_coordinate_plane)
-    if name == "bloch-disc":
-        return SampleRegion(name=name, measure=math.pi, dimension=2,
-                            _sampler=_sample_disc(0.0, 2.0 * math.pi))
-    if name == "bloch-half-disc":
-        return SampleRegion(name=name, measure=0.5 * math.pi, dimension=2,
-                            _sampler=_sample_disc(-0.5 * math.pi,
-                                                  0.5 * math.pi))
-    raise ValueError(f"unknown region {name!r}")
+        return SampleRegion(f"simplex-sorted-{dim}", sup_source_volume(dim),
+                            dim, _sample_sorted_simplex(dim))
+    planar = {"coordinate-plane": (0.5, _sample_coordinate_plane),
+              "bloch-disc": (math.pi, _sample_disc(0.0, 2.0 * math.pi)),
+              "bloch-half-disc": (0.5 * math.pi, _sample_disc(-0.5 * math.pi,
+                                                              0.5 * math.pi))}
+    if name not in planar:
+        raise ValueError(f"unknown region {name!r}")
+    return SampleRegion(name, planar[name][0], 2, planar[name][1])
 
 
 def mc_volume(predicate, region: SampleRegion, samples: int,
@@ -162,7 +156,8 @@ def mc_volume(predicate, region: SampleRegion, samples: int,
     """Monte-Carlo volume of {x in region : predicate(x)}.
 
     ``predicate`` must be vectorized: given an (n, dim) array it
-    returns n booleans.  Sampling is sharded deterministically (fixed
+    returns n booleans, best by column arithmetic (see
+    :class:`SampleRegion`).  Sampling is sharded deterministically (fixed
     shard size, per-shard seeds spawned from ``seed``), so the result
     depends only on (seed, samples).
     """
@@ -217,14 +212,25 @@ def qubit_region_predicate(r, operation_class: str, kind: str):
     return predicate
 
 
-def _partial_sum_test(kind: str, slack: float):
-    """``test(sums, bound)``: source points have partial sums at most the
-    spectrum's, accessible points at least."""
-    if kind == "source":
-        return lambda sums, bound: sums <= bound + slack
-    if kind == "accessible":
-        return lambda sums, bound: sums >= bound - slack
-    raise ValueError(f"unknown kind {kind!r}")
+def _partial_sum_predicate(bounds, kind: str, slack: float):
+    """Vectorized test of each point's running partial sums against
+    ``bounds``: source points have partial sums at most the spectrum's,
+    accessible points at least.  The sums run column by column (the
+    additions of ``np.cumsum(axis=1)``, in its order) rather than
+    reducing along the short row axis."""
+    rules = {"source": (np.less_equal, slack),
+             "accessible": (np.greater_equal, -slack)}
+    if kind not in rules:
+        raise ValueError(f"unknown kind {kind!r}")
+    compare, offset = rules[kind]
+
+    def predicate(points):
+        sums, flags = np.zeros(len(points)), np.ones(len(points), dtype=bool)
+        for k, bound in enumerate(bounds):
+            sums += points[:, k]
+            flags &= compare(sums, bound + offset)
+        return flags
+    return predicate
 
 
 def sorted_simplex_predicate(spectrum, kind: str, slack: float = 1e-10):
@@ -234,23 +240,18 @@ def sorted_simplex_predicate(spectrum, kind: str, slack: float = 1e-10):
     Source points are majorized by the spectrum (all partial sums
     below); accessible points majorize it.
     """
-    test = _partial_sum_test(kind, slack)
-    cumulative = np.cumsum(sorted_spectrum(spectrum))
-    return lambda points: np.all(test(np.cumsum(points, axis=1), cumulative),
-                                 axis=1)
+    return _partial_sum_predicate(np.cumsum(sorted_spectrum(spectrum)), kind,
+                                  slack)
 
 
 def coordinate_plane_predicate(spectrum, kind: str, slack: float = 1e-10):
     """Coordinate-ordered partial-sum test for the planar qutrit
     family: x1 against a and x1 + x2 against a + b, in the unsorted
     coordinate plane."""
-    test = _partial_sum_test(kind, slack)
     lam = sorted_spectrum(spectrum)
     if len(lam) != 3:
         raise ValueError("coordinate-plane predicate needs a length-3 spectrum")
-    a, ab = float(lam[0]), float(lam[0] + lam[1])
-    return lambda points: (test(points[:, 0], a)
-                           & test(points[:, 0] + points[:, 1], ab))
+    return _partial_sum_predicate(np.cumsum(lam)[:2], kind, slack)
 
 
 # ---------------------------------------------------------------------------
@@ -759,12 +760,15 @@ def _diagonal_branch(t, z, a, b):
 
 def _damping_branches(t, z, p, gamma):
     """The branches sqrt(p) diag(1, sqrt(1-gamma)) and sqrt(1-p)
-    diag(sqrt(1-gamma), 1) of the two-sided damping channel.  Its two
-    jump branches land on basis states (zero coherence) and are omitted;
+    diag(sqrt(1-gamma), 1) of the two-sided damping channel.  A scalar
+    factor cancels from a normalized branch state, so p enters only the
+    weights and the states depend on (t, z, gamma) alone.  The two jump
+    branches land on basis states (zero coherence) and are omitted;
     their weights complete the total to 1."""
-    keep = 1.0 - gamma
-    return (_diagonal_branch(t, z, np.sqrt(p), np.sqrt(p * keep)),
-            _diagonal_branch(t, z, np.sqrt((1.0 - p) * keep), np.sqrt(1.0 - p)))
+    keep = np.sqrt(1.0 - gamma)
+    (w0, t0, z0), (w1, t1, z1) = (_diagonal_branch(t, z, 1.0, keep),
+                                  _diagonal_branch(t, z, keep, 1.0))
+    return (p * w0, t0, z0), ((1.0 - p) * w1, t1, z1)
 
 
 def _eigen_parts(t, z):
@@ -787,15 +791,12 @@ def _printed_eigen_parts(t, z):
     return parts
 
 
-def _part_values(monotone, parts):
-    """(weight, value) of ``monotone`` for each part (weight, t, z)."""
-    return [(w, _qubit_monotone(monotone, tb, zb)) for w, tb, zb in parts]
-
-
-def _excess(whole, part_values):
-    """Weighted coherence of the parts minus that of the whole: positive
-    where averaging over branches fails, negative where convexity fails."""
-    return sum(w * c for w, c in part_values) - whole
+def _excess(monotone, whole, parts):
+    """Weighted ``monotone`` of the parts (weight, t, z) minus ``whole``,
+    the value of the whole state: positive where averaging over branches
+    fails, negative where convexity fails."""
+    return sum(w * _qubit_monotone(monotone, tb, zb)
+               for w, tb, zb in parts) - whole
 
 
 #: What each literature family's gap measures, and its parts under the
@@ -822,7 +823,7 @@ def _printed_instance(name, family, params, printed):
     what, *conventions = family
     monotone = _QUBIT_FORM_NAMES[name, "SIO"]
     whole = _qubit_monotone(monotone, params["t"], params["z"])
-    gaps = (-float(_excess(whole, _part_values(monotone, parts(**params))))
+    gaps = (-float(_excess(monotone, whole, parts(**params)))
             for parts in conventions)
     return PrintedInstance(f"{name}-coherence {what}", dict(params), printed,
                            *gaps)
@@ -849,6 +850,13 @@ def b3_b4_counterexamples(step: float = 0.05) -> CounterexampleReport:
       mixture of C values by more than 1e-3, over both the
       eigendecomposition family and mixtures with an incoherent state.
 
+    The grid is laid out as (valid (t, z) pair, p, gamma), whose C-order
+    ravel is the point order (a tie reports its first point), and each
+    term is valued on the axes it depends on: the whole state and its
+    eigen parts on the pairs, the instruments and mixtures on the full
+    grid, and the damping branch states on (pair, gamma), because the
+    factor sqrt(p) or sqrt(1-p) cancels from a normalized branch.
+
     The four literature reference instances are evaluated side by side
     under a normalized and an as-printed convention; no equality with
     the printed constants is asserted.
@@ -861,13 +869,15 @@ def b3_b4_counterexamples(step: float = 0.05) -> CounterexampleReport:
         raise ValueError(f"step {step} is too small: the grid would exceed "
                          f"{_MAX_GRID_POINTS} points")
     axis = np.arange(lo, hi, step)
-    t, z, p, g = np.meshgrid(axis, axis, axis, axis, indexing="ij")
-    t, z, p, g = (a.ravel() for a in (t, z, p, g))
-    valid = t * t + z * z < 1.0 - 1e-9
-    t, z, p, g = t[valid], z[valid], p[valid], g[valid]
+    # axes (valid (t, z) pair, p, gamma), C order: see the docstring
+    ti, zi = np.nonzero(axis[:, None] ** 2 + axis ** 2 < 1.0 - 1e-9)
+    t, z, p, g = axis[ti, None, None], axis[zi, None, None], axis[:, None], axis
+    shape = (t.size, axis.size, axis.size)
     grid = {"t": t, "z": z, "p": p, "gamma": g}
 
     damping = _damping_branches(t, z, p, g)
+    readings = {"unweighted": [(1.0, tb, zb) for _, tb, zb in damping],
+                "weighted": damping}
     # instruments diag(a, b), diag(sqrt(1-a^2), sqrt(1-b^2)) on the p, gamma
     # axes; these stop at 0.95, so no branch weight is below 1 - 0.95^2
     instrument = (_diagonal_branch(t, z, p, g),
@@ -881,22 +891,20 @@ def b3_b4_counterexamples(step: float = 0.05) -> CounterexampleReport:
     damped, instruments, convexity = [], [], []
     for name in ("accessible", "source"):
         monotone = _QUBIT_FORM_NAMES[name, "SIO"]
-        whole = _qubit_monotone(monotone, t, z)
-        values = _part_values(monotone, damping)
-        for reading, parts in (("unweighted", [(1.0, c) for _, c in values]),
-                               ("weighted", values)):
-            damped.append(_summarize("selective-measurement", name, reading,
-                                     "damping", _excess(whole, parts), **grid))
+        whole = np.broadcast_to(_qubit_monotone(monotone, t, z), shape)
+        for reading, parts in readings.items():
+            damped.append(_summarize(
+                "selective-measurement", name, reading, "damping",
+                _excess(monotone, whole, parts), **grid))
         instruments.append(_summarize(
             "selective-measurement", name, "weighted", "diagonal-instrument",
-            _excess(whole, _part_values(monotone, instrument)),
-            a=p, b=g, t=t, z=z))
-        eig = _summarize(
-            "convexity", name, "weighted", "eigendecomposition",
-            -_excess(whole, _part_values(monotone, eigen)), t=t, z=z)
+            _excess(monotone, whole, instrument), a=p, b=g, t=t, z=z))
+        eig = _summarize("convexity", name, "weighted", "eigendecomposition",
+                         -_excess(monotone, whole, eigen), t=t, z=z)
         mix = _summarize(
             "convexity", name, "weighted", "incoherent-mixture",
-            -_excess(_qubit_monotone(monotone, *mixture), [(p, whole)]), **grid)
+            -_excess(monotone, _qubit_monotone(monotone, *mixture),
+                     [(p, t, z)]), **grid)
         best = eig if eig.best_margin >= mix.best_margin else mix
         convexity.append(replace(best, count=eig.count + mix.count))
 
@@ -905,16 +913,16 @@ def b3_b4_counterexamples(step: float = 0.05) -> CounterexampleReport:
         printed_instances=tuple(_printed_instance(*row)
                                 for row in _PRINTED_INSTANCES),
         grid=tuple(damped + instruments + convexity),
-        grid_points=int(t.size))
+        grid_points=math.prod(shape))
 
 
 def _summarize(condition, monotone, reading, family, gaps, **params):
-    """One grid row: how many gaps exceed the margin, and the largest gap
-    with its grid parameters and family."""
-    best = int(np.argmax(gaps))
+    """One grid row: how many gaps exceed the margin, and the first largest
+    gap with its family and grid parameters (broadcast to the gaps' shape)."""
+    best = np.unravel_index(np.argmax(gaps), gaps.shape)
     return GridViolations(
         condition=condition, monotone=monotone, reading=reading,
         count=int(np.count_nonzero(gaps > _MARGIN)),
         best_margin=float(gaps[best]),
-        best_parameters={k: float(v[best]) for k, v in params.items()}
-        | {"family": family})
+        best_parameters={k: float(np.broadcast_to(v, gaps.shape)[best])
+                         for k, v in params.items()} | {"family": family})

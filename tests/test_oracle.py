@@ -1,5 +1,6 @@
 """Tests for the exact and Monte-Carlo volume oracles and property suites."""
 
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -239,6 +240,136 @@ def test_mc_confirms_planar_and_simplex_forms():
     expected = sup_source_volume(3) * permutation_sum(lam)
     check_mc_matches(sorted_simplex_predicate(lam, "source"),
                      simplex, expected, seed=106)
+
+
+# mean and standard error of mc_volume at 250 000 samples (two full
+# shards and a partial one) for seeds 3 and 11; a change to a sampler
+# or predicate must reproduce them bit for bit
+_PINNED_MC = {
+    "simplex-2-accessible": [(0.4711169640333492, 0.0006668697210100336),
+                             (0.47209842824563614, 0.0006661743737130692)],
+    "simplex-2-source": [(0.23598981715319836, 0.0006668697210100336),
+                         (0.23500835294091144, 0.0006661743737130692)],
+    "simplex-3-accessible": [(0.09601219506569639, 0.0001362325227738712),
+                             (0.09606242453911588, 0.00013619731654233622)],
+    "simplex-3-source": [(0.024180006623930717, 0.00010780372188380139),
+                         (0.024063959219823603, 0.00010759663935272328)],
+    "simplex-5-accessible": [(0.0005584424491307287, 6.977785456194908e-07),
+                             (0.00055789274908626, 6.98313912816674e-07)],
+    "simplex-5-source": [(4.6187226335245654e-05, 3.6729867753439915e-07),
+                         (4.5982253437308176e-05, 3.6653419134635436e-07)],
+    "simplex-8-accessible": [(1.0643736404042499e-08, 1.180783335239914e-11),
+                             (1.0641676458928499e-08, 1.1810403457401132e-11)],
+    "simplex-8-source": [(2.390093074163713e-10, 3.61637226227641e-12),
+                         (2.3761745260961397e-10, 3.6060104725619346e-12)],
+    "simplex-9-accessible": [(1.5850871598639457e-10, 1.7176201118618454e-13),
+                             (1.5874902237129422e-10, 1.7144772242452479e-13)],
+    "simplex-9-source": [(2.426028281683044e-12, 4.434168245792972e-14),
+                         (2.324328651213572e-12, 4.3413217391722176e-14)],
+    "plane-accessible": [(0.079318, 0.00036533631013629074),
+                         (0.080368, 0.00036728726945539506)],
+    "plane-source": [(0.275256, 0.0004974419944636762),
+                     (0.274604, 0.0004975726808577819)],
+    "bloch-disc-SIO-accessible": [(1.6284885342854196, 0.003139473019133759),
+                                  (1.6327234011824585, 0.0031391502912285906)],
+    "bloch-disc-SIO-source": [(1.208030339899576, 0.0030566661178638424),
+                              (1.2048259153929144, 0.003055137809167111)],
+    "bloch-disc-PIO-accessible": [(1.2992621905598236, 0.003094298184164811),
+                                  (1.3052437829722585, 0.003096373974016488)],
+    "bloch-disc-PIO-source": [(1.098099729765162, 0.002995969978106488),
+                              (1.09607654409625, 0.002994690119653043)],
+    "bloch-half-disc-SIO-accessible": [(0.811976037246818, 0.0015698966739116711),
+                                       (0.8135028512764626, 0.0015697903064897656)],
+    "bloch-half-disc-SIO-source": [(0.6058749928007131, 0.0015292111774205422),
+                                   (0.6041219841000101, 0.0015283837500934222)],
+    "bloch-half-disc-PIO-accessible": [(0.6466025999618512, 0.0015460738231257653),
+                                       (0.6503159624783943, 0.001547388863942027)],
+    "bloch-half-disc-PIO-source": [(0.5505515461709969, 0.001498929406537049),
+                                   (0.5483649976840984, 0.0014975520737790624)],
+}
+_PINNED_PROBE = QubitBloch(0.5, 0.0, 0.3)
+
+
+def _pinned_mc_case(name):
+    parts = name.split("-")
+    kind = parts[-1]
+    if parts[0] == "simplex":
+        d = int(parts[1])
+        spectrum = tuple(float(x) for x in np.arange(d, 0, -1)
+                         / (d * (d + 1) / 2))
+        return (sorted_simplex_predicate(spectrum, kind),
+                make_region("simplex-sorted", dim=d))
+    if parts[0] == "plane":
+        return (coordinate_plane_predicate((0.5, 0.3, 0.2), kind),
+                make_region("coordinate-plane"))
+    region = "-".join(parts[:-2])
+    return (qubit_region_predicate(_PINNED_PROBE, parts[-2], kind),
+            make_region(region))
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_MC))
+def test_mc_estimates_are_pinned(name):
+    predicate, region = _pinned_mc_case(name)
+    estimates = [mc_volume(predicate, region, 250_000, seed=seed)
+                 for seed in (3, 11)]
+    assert [(e.mean, e.standard_error) for e in estimates] == _PINNED_MC[name]
+
+
+def _dyadic_points(rng, count, d, units):
+    """``count`` sorted points of the d-simplex with entries k/1024, drawn
+    on a lattice of ``units`` steps so that partial sums often tie."""
+    counts = rng.multinomial(units, np.full(d, 1.0 / d), size=count)
+    return -np.sort(-counts, axis=1) * (1024 // units) / 1024.0
+
+
+def _fraction_verdicts(points, bounds, kind, slack):
+    """Every partial sum of each row against ``bounds`` in exact
+    arithmetic, under the predicates' slack rule."""
+    slack = Fraction(slack)
+    verdicts = []
+    for row in points:
+        sums = itertools.accumulate(Fraction(float(x)) for x in row)
+        verdicts.append(all(
+            s <= Fraction(float(b)) + slack if kind == "source"
+            else s >= Fraction(float(b)) - slack
+            for s, b in zip(sums, bounds)))
+    return verdicts
+
+
+@pytest.mark.parametrize("slack", [1e-10, 0.0])
+@pytest.mark.parametrize("kind", ["accessible", "source"])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_simplex_predicate_matches_fraction_partial_sums(d, kind, slack):
+    rng = np.random.default_rng(100 + d)
+    outcomes = set()
+    for spectrum in _dyadic_points(rng, 4, d, 16):
+        points = np.concatenate([_dyadic_points(rng, 300, d, 16),
+                                 _dyadic_points(rng, 100, d, 1024),
+                                 spectrum[None]])
+        bounds = np.cumsum(spectrum)
+        # some point ties each partial-sum bound short of the total
+        ties = np.cumsum(points, axis=1)[:, :-1] == bounds[:-1]
+        assert ties.any(axis=0).all()
+        flags = sorted_simplex_predicate(spectrum, kind, slack)(points)
+        assert flags.tolist() == _fraction_verdicts(points, bounds, kind,
+                                                    slack)
+        outcomes.update(flags.tolist())
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("slack", [1e-10, 0.0])
+@pytest.mark.parametrize("kind", ["accessible", "source"])
+def test_plane_predicate_matches_fraction_partial_sums(kind, slack):
+    rng = np.random.default_rng(7)
+    for spectrum in _dyadic_points(rng, 6, 3, 16):
+        points = np.concatenate([_dyadic_points(rng, 300, 3, 16)[:, :2],
+                                 _dyadic_points(rng, 100, 3, 1024)[:, 1:],
+                                 spectrum[None, :2]])
+        bounds = np.cumsum(spectrum)[:2]
+        assert (np.cumsum(points, axis=1) == bounds).any(axis=0).all()
+        flags = coordinate_plane_predicate(spectrum, kind, slack)(points)
+        assert flags.tolist() == _fraction_verdicts(points, bounds, kind,
+                                                    slack)
 
 
 def test_qubit_region_predicate_roles():
@@ -512,3 +643,45 @@ def test_counterexample_numbers_are_pinned(step):
     assert_allclose([(inst.normalized_convention, inst.as_printed_convention)
                      for inst in report.printed_instances],
                     _PINNED_PRINTED, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("step", [0.03, 0.05, 0.1, 0.2])
+def test_unweighted_damping_rows_are_constant_along_p(step, monkeypatch):
+    # p leaves a normalized damping branch state unchanged, so the
+    # unweighted reading ties along the p axis and reports its first value
+    gaps = {}
+    summarize = oracle._summarize
+
+    def spy(condition, monotone, reading, family, gap, **params):
+        if family == "damping" and reading == "unweighted":
+            gaps[monotone] = gap
+        return summarize(condition, monotone, reading, family, gap, **params)
+
+    monkeypatch.setattr(oracle, "_summarize", spy)
+    report = b3_b4_counterexamples(step=step)
+    rows = [g for g in report.grid if g.best_parameters["family"] == "damping"
+            and g.reading == "unweighted"]
+    assert [g.monotone for g in rows] == ["accessible", "source"]
+    assert sorted(gaps) == ["accessible", "source"]
+    assert all(g.best_parameters["p"] == 0.05 for g in rows)
+    n = np.arange(0.05, 0.95 + 1e-9, step).size
+    for gap in gaps.values():
+        gap = np.reshape(gap, (-1, n, n))
+        assert np.array_equal(gap, np.broadcast_to(gap[:, :1], gap.shape))
+
+
+def test_counterexample_scan_evaluates_each_term_on_its_own_axes(monkeypatch):
+    # 6 full-grid monotone evaluations per scan: the instrument branches
+    # and the mixture, for both monotones; every other term is valued on
+    # the (t, z) pairs or on (pair, gamma)
+    sizes = []
+    kernel = oracle._qubit_monotone
+
+    def counting(monotone, t, z):
+        sizes.append(np.broadcast(t, z).size)
+        return kernel(monotone, t, z)
+
+    monkeypatch.setattr(oracle, "_qubit_monotone", counting)
+    report = b3_b4_counterexamples()
+    assert sizes.count(report.grid_points) <= 6
+    assert sum(sizes) <= 7 * report.grid_points
