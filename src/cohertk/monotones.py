@@ -49,11 +49,11 @@ MEASURE_TAGS = ("sorted-representative", "coordinate-plane", "bloch-halfplane")
 
 _OPERATION_CLASSES = ("PIO", "SIO", "IC", "LSICC", "LICC")
 
-#: Eigenvalues at or below this are treated as exact zeros of a spectrum.
-STRIP_TOL = 1e-12
+#: Transverse Bloch radii at or below this are treated as the z axis.
+AXIS_TOL = 1e-12
 
-#: Longest spectrum served: the pinned values and the exact
-#: permutation-sum oracle check the recursion up to this length.
+#: Longest spectrum served, zero entries included: the pinned values and
+#: the exact permutation-sum oracle check the recursion up to this length.
 MAX_SPECTRUM_LEN = 9
 
 
@@ -101,14 +101,9 @@ def _normalized(kind: str, volume, sup):
 # permutation-sum source coherence
 
 
-def _strip_zeros(spectrum) -> np.ndarray:
-    arr = sorted_spectrum(spectrum)
-    return arr[arr > STRIP_TOL]
-
-
 def _permutation_sums(spectra) -> np.ndarray:
     """:func:`permutation_sum` of each row of an ``(N, d)`` array of
-    nonincreasing, zero-free spectra.
+    nonincreasing spectra, zero entries included.
 
     The source polytope is a union of pyramids with apex at the uniform
     spectrum, one per facet, and each of the C(L, m) facets on which m
@@ -152,8 +147,8 @@ def _permutation_sums(spectra) -> np.ndarray:
 def permutation_sum(spectrum) -> float:
     """Normalized source-polytope volume of a sorted spectrum.
 
-    For a nonincreasing probability vector of length d (zeros stripped
-    first) this is the signed permutation sum
+    For a nonincreasing probability vector of length d, zero entries
+    included, this is the signed permutation sum
 
         sum over permutations pi of
             [sum_k pi(k) lam_k - (d+1)/2]^(d-1)
@@ -167,24 +162,20 @@ def permutation_sum(spectrum) -> float:
     Length-1 spectra return 1.0 by convention (the source set is the
     whole simplex); lengths above 9 raise.
     """
-    lam = _strip_zeros(spectrum)
+    lam = sorted_spectrum(spectrum)
     if len(lam) > MAX_SPECTRUM_LEN:
         raise ValueError(f"spectrum length {len(lam)} exceeds cap {MAX_SPECTRUM_LEN}")
     return float(_permutation_sums(lam[None])[0])
 
 
-def _permutation_sum_fraction(spectrum, strip: bool = True) -> Fraction:
-    """Exact-rational permutation sum by enumerating all d! terms;
-    spectrum entries must be Fractions or integers summing to 1.  The
+def _permutation_sum_fraction(spectrum) -> Fraction:
+    """Exact-rational permutation sum by enumerating all d! terms, the
     independent reference for :func:`_permutation_sums` and the volume
-    oracle tests (optionally without zero stripping, where the sum is
-    still well defined but no longer matches the stripped convention).
-    """
+    oracle tests; spectrum entries must be Fractions or integers summing
+    to 1."""
     lam = [Fraction(x) for x in spectrum]
     if sum(lam) != 1:
         raise ValueError("spectrum must sum to 1 exactly")
-    if strip:
-        lam = [x for x in lam if x > 0]
     d = len(lam)
     if d == 1:
         return Fraction(1)
@@ -258,10 +249,10 @@ def source_coherence_closed(state, operation_class: str = "IC",
     :class:`~cohertk.feasibility.LemmaNotApplicableError` otherwise) —
     or a bare sorted probability vector used as the spectrum directly.
 
-    The value is ``1 - permutation_sum(spectrum)`` after zero
-    stripping; the reported raw volume is normalized by the ambient
-    (pre-stripping) dimension so that the incoherent spectrum attains
-    the supremum ``sqrt(d)/(d! (d-1)!)`` exactly.
+    The value is ``1 - permutation_sum(spectrum)`` on the full spectrum,
+    zero entries included, and the raw volume is normalized by its
+    length d, so the incoherent spectrum attains the supremum
+    ``sqrt(d)/(d! (d-1)!)`` exactly; lengths above 9 raise.
     """
     operation_class = operation_class.upper()
     spectrum = _select_spectrum(state, operation_class, cut)
@@ -344,7 +335,7 @@ def _pio_source_volume(t, z):
     minus two triangles.  t = 0 gives the whole disc.
     """
     az = np.abs(z)
-    degenerate = t <= STRIP_TOL
+    degenerate = t <= AXIS_TOL
     safe_t = np.where(degenerate, 1.0, t)
     k = (1.0 - az) / safe_t
 
@@ -439,14 +430,14 @@ def planar_example_volumes(state, operation_class: str = "IC", cut=None):
     """Accessible/source volumes for the planar example families.
 
     ``state`` is a pure state (spectrum chosen by class as in
-    :func:`source_coherence_closed`) or a bare sorted spectrum.  After
-    zero stripping the support size picks the family:
+    :func:`source_coherence_closed`) or a bare sorted spectrum.  Its
+    full length, zero entries included, picks the family (others raise):
 
-    * size 3 — coordinate-plane measure on the (x1, x2) triangle:
-      V_a = [(1-a)^2 - b^2]/2, V_s = [(a+b)^2 - b^2]/2, sup 1/2.
-    * size 2 — sorted-representative segment: V_a = sqrt(2)(1-x),
+    * length 3 — coordinate-plane measure on the (x1, x2) triangle of
+      (a, b, c): V_a = c(c + 2b)/2, V_s = a(a + 2b)/2, sup 1/2.
+    * length 2 — sorted-representative segment: V_a = sqrt(2)(1-x),
       V_s = sqrt(2)(x - 1/2), sup sqrt(2)/2.
-    * size 1 — incoherent; reported in the segment convention with
+    * length 1 — incoherent; reported in the segment convention with
       x = 1.
 
     Returns ``(V_a, V_s, C_a, C_s)``.
@@ -460,11 +451,11 @@ def _planar_family(subject, operation_class: str, cut=None) -> tuple:
     """The planar family of a subject as ``(measure, dimension, sup,
     {kind: (volume, value, boundary loops)})``, with the volumes and
     values of :func:`planar_example_volumes`."""
-    lam = _strip_zeros(_select_spectrum(subject, operation_class, cut))
+    lam = _select_spectrum(subject, operation_class, cut)
     if len(lam) == 3:
-        a, b = float(lam[0]), float(lam[1])
-        va = 0.5 * ((1.0 - a) ** 2 - b * b)
-        vs = 0.5 * ((a + b) ** 2 - b * b)
+        a, b, c = (float(x) for x in lam)
+        va = 0.5 * c * (c + 2.0 * b)
+        vs = 0.5 * a * (a + 2.0 * b)
         # counterclockwise quadrilaterals in the (x1, x2) plane
         accessible = [(a + b, 0.0), (1.0, 0.0), (a, 1.0 - a), (a, b)]
         source = [(0.0, 0.0), (a, 0.0), (a, b), (0.0, a + b)]
@@ -479,7 +470,7 @@ def _planar_family(subject, operation_class: str, cut=None) -> tuple:
         return ("sorted-representative", 1, math.sqrt(2.0) / 2.0,
                 {"accessible": (va, c, ((Segment((x, 1.0 - x), (1.0, 0.0)),),)),
                  "source": (vs, c, ((Segment((0.5, 0.5), (x, 1.0 - x)),),))})
-    raise ValueError(f"no planar formula for support size {len(lam)}")
+    raise ValueError(f"no planar formula for length {len(lam)}")
 
 
 def _closed_monotone(subject, kind: str, operation_class: str, cut=None,
@@ -629,7 +620,7 @@ def _sio_accessible_geometry(t: float, z: float) -> tuple:
 
 
 def _sio_source_geometry(t: float, z: float) -> tuple:
-    if t <= STRIP_TOL:
+    if t <= AXIS_TOL:
         return _FULL_DISC
     az = abs(z)
     h = math.sqrt(max(0.0, 1.0 - t * t))
@@ -660,7 +651,7 @@ def _pio_accessible_geometry(t: float, z: float) -> tuple:
 
 
 def _pio_source_geometry(t: float, z: float) -> tuple:
-    if t <= STRIP_TOL:
+    if t <= AXIS_TOL:
         return _FULL_DISC
     az = abs(z)
     h = math.sqrt(max(0.0, 1.0 - t * t))
@@ -733,7 +724,7 @@ def region_geometry(subject, operation_class: str, kind: str) -> RegionGeometry:
 
     Supported subjects: a :class:`~cohertk.states.QubitBloch` with class
     SIO/IC or PIO — regions in the x-z Bloch disc — and a pure state or
-    sorted spectrum with support size 1 to 3 — the planar example
+    sorted spectrum of length 1 to 3 — the planar example
     regions.  Subjects are read as :func:`_closed_monotone` reads them,
     so a bare sequence is always a spectrum.  The emitted piecewise
     boundary integrates (via :meth:`RegionGeometry.area`) to the

@@ -23,7 +23,7 @@ import numpy as np
 from .channels import (_apply_kraus, _check_kraus, _random_kraus,
                        apply_to_density, apply_to_pure, random_channel)
 from .feasibility import _QUBIT_FAMILY, pio_feasible_mask, sio_feasible_mask
-from .monotones import (_QUBIT_FORM_NAMES, STRIP_TOL, _permutation_sums,
+from .monotones import (_QUBIT_FORM_NAMES, _permutation_sums,
                         _qubit_monotone, permutation_sum, qubit_pio_Ca,
                         qubit_pio_Cs, qubit_sio_Ca, qubit_sio_Cs,
                         source_coherence_closed, sup_source_volume)
@@ -528,28 +528,23 @@ def _qubit_audit_trial(monotone: str, operation_class: str, rng) -> float:
 
 def _spectrum_pairs(rng, count: int):
     """``count`` random sorted spectra of lengths 2 to 5, zero-padded to
-    length 5, and their blends toward the incoherent vertex, which
-    majorize them."""
+    length 5, and majorizing targets: even rows blend toward the incoherent
+    vertex, odd rows empty every level past a random cut into the first."""
     lengths = rng.integers(2, 6, size=(count, 1))
     lam = rng.standard_exponential((count, 5)) * (np.arange(5) < lengths)
     lam /= lam.sum(axis=1, keepdims=True)
     lam = -np.sort(-lam, axis=1)
     blend = rng.random((count, 1))
-    return lam, blend * lam + (1.0 - blend) * np.eye(5)[0]
+    target = blend * lam + (1.0 - blend) * np.eye(5)[0]
+    target[1::2] = lam[1::2] * (np.arange(5) < rng.integers(1, lengths[1::2]))
+    target[1::2, 0] += 1.0 - target[1::2].sum(axis=1)
+    return lam, target
 
 
 def _source_closed_increases(before, after) -> np.ndarray:
     """Increase of ``source_coherence_closed`` from each row of the
-    ``(N, d)`` array of nonincreasing spectra ``before`` to the same row
-    of ``after``.  Rows are grouped by support length, because
-    ``permutation_sum`` drops entries at or below ``STRIP_TOL``."""
-    spectra = np.concatenate([before, after])
-    support = np.count_nonzero(spectra > STRIP_TOL, axis=1)
-    sums = np.empty(len(spectra))
-    for length in np.unique(support):
-        rows = support == length
-        sums[rows] = _permutation_sums(spectra[rows, :length])
-    return sums[:len(before)] - sums[len(before):]
+    ``(N, d)`` nonincreasing spectra ``before`` to the same row of ``after``."""
+    return _permutation_sums(before) - _permutation_sums(after)
 
 
 def _source_closed_trials(operation_class: str, trials: int, rng):
@@ -582,8 +577,8 @@ def monotonicity_suite(monotone: str, operation_class: str, trials: int,
     channels of ``operation_class``; the partition-preserving
     monotones support channel classes IU and PIO only.  The spectrum
     monotone ``source-closed`` is tested on random sorted spectra
-    against random feasible pure-state targets (interpolations toward
-    the incoherent vertex, which majorize the source spectrum).
+    against random majorizing targets: blends toward the incoherent
+    vertex, and spectra with their trailing levels emptied into the first.
 
     The trials run batched; one of them also runs through the public
     functions, which must agree with the batched kernels within 1e-12.

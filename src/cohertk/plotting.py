@@ -174,7 +174,10 @@ def _figure_subject(figure: str, subject):
         raise ValueError(f"unknown figure {figure!r}")
     if figure.startswith("qubit-"):
         return _as_bloch(subject)
-    return _select_spectrum(subject, _FIGURE_CLASSES[figure])
+    lam = _select_spectrum(subject, _FIGURE_CLASSES[figure])
+    if len(lam) != {"qutrit": 3, "two-level": 2}[figure]:
+        raise ValueError(f"figure {figure!r} takes no length-{len(lam)} spectrum")
+    return lam
 
 
 def figure_regions(figure: str, subject) -> dict:

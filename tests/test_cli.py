@@ -298,8 +298,43 @@ def test_monotone_planar_accessible(tmp_path, capsys):
     assert payload["sup_volume"] == 0.5
 
 
+def test_free_conversion_raises_neither_closed_value(tmp_path, capsys):
+    # (.4, .3, .3) -> (.5, .5, 0) is IC feasible; measured in the full
+    # simplex, the emptied level lowers both values instead of raising them
+    source = write_json(tmp_path, "a.json",
+                        {"dims": [3], "amps": [[RT(0.4), 0.0], [RT(0.3), 0.0],
+                                               [RT(0.3), 0.0]]})
+    target = write_json(tmp_path, "b.json",
+                        {"dims": [3], "amps": [[RT(0.5), 0.0], [RT(0.5), 0.0],
+                                               [0.0, 0.0]]})
+    assert run_json(capsys, "feasible", "--class", "IC", "--source", source,
+                    "--target", target)["feasible"] is True
+    for kind, before, after in (("source", 0.99, 0.75),
+                                ("accessible", 0.27, 0.0)):
+        values = [run_json(capsys, "monotone", "--kind", kind,
+                           "--state", state)["value"]
+                  for state in (source, target)]
+        assert values == pytest.approx([before, after], abs=1e-12), kind
+
+
 # ---------------------------------------------------------------------------
 # volume
+
+
+@pytest.mark.parametrize("subject", [
+    (16, 0), (8, 8, 0), (12, 4, 0), (16, 0, 0), (8, 8, 0, 0), (6, 5, 5, 0),
+    (9, 4, 3, 0, 0), (8, 4, 2, 2, 0), (8, 4, 2, 1, 1, 0), (10, 6, 0, 0, 0, 0),
+    "bell"], ids=str)
+def test_volume_closed_equals_exact_with_zero_entries(tmp_path, capsys, bell,
+                                                      subject):
+    # both measure the polytope of the full-length spectrum; dyadic
+    # entries (sixteenths) are exact as floats
+    state = bell if subject == "bell" else write_json(
+        tmp_path, "subject.json", {"spectrum": [k / 16 for k in subject]})
+    closed, exact = (run_json(capsys, "volume", "--method", method,
+                              "--state", state)["volume"]
+                     for method in ("closed", "exact"))
+    assert closed == pytest.approx(exact, rel=0, abs=1e-12)
 
 
 def test_volume_exact_method(tmp_path, capsys):
@@ -615,6 +650,9 @@ def test_reused_parser_carries_nothing_between_calls(tmp_path, capsys,
     ["plot", "--figure", "qutrit", "--state", "BLOCH"],
     ["plot", "--figure", "two-level", "--state", "BLOCH"],
     ["plot", "--figure", "qutrit", "--format", "csv", "--state", "BLOCH"],
+    # and each draws one spectrum length only
+    ["plot", "--figure", "two-level", "--state", "SPEC"],
+    ["plot", "--figure", "qutrit", "--state", "TWO"],
     # majorization does not govern PIO, so spectra have no PIO rule
     ["monotone", "--kind", "source", "--class", "PIO", "--state", "SPEC"],
     ["monotone", "--kind", "accessible", "--class", "PIO", "--state", "SPEC"],
@@ -645,6 +683,7 @@ def test_out_of_range_input_exits_1(tmp_path, capsys, argv):
     files = {
         "NAN": str(nan_bloch),
         "SPEC": write_json(tmp_path, "spec.json", {"spectrum": [0.5, 0.3, 0.2]}),
+        "TWO": write_json(tmp_path, "two.json", {"spectrum": [0.7, 0.3]}),
         "BLOCH": write_json(tmp_path, "r.json", {"bloch": [0.5, 0.0, 0.3]}),
         "LONG": write_json(tmp_path, "long.json",
                            {"spectrum": [0.5, 0.5] + [0.0] * 198}),

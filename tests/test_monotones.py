@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from cohertk.feasibility import LemmaNotApplicableError
+from cohertk.feasibility import LemmaNotApplicableError, majorizes
 from cohertk.monotones import (
     MonotoneValue,
     _as_bloch,
@@ -85,10 +85,12 @@ def test_permutation_sum_near_uniform_has_no_cancellation():
     assert_allclose(permutation_sum(lam), float(exact), rtol=1e-14, atol=0)
 
 
-def test_permutation_sum_strips_zeros():
-    assert_allclose(permutation_sum([0.6, 0.4, 0.0]),
-                    permutation_sum([0.6, 0.4]), atol=1e-15)
-    # single support point is the incoherent extreme
+def test_permutation_sum_keeps_zeros():
+    # a zero entry is a level of the spectrum: (0.6, 0.4, 0) is measured
+    # in the length-3 simplex, where it is not (0.6, 0.4)
+    assert_allclose(permutation_sum([0.6, 0.4, 0.0]), 0.52, atol=1e-15)
+    assert_allclose(permutation_sum([0.6, 0.4]), 0.2, atol=1e-15)
+    # one nonzero level is the incoherent extreme at every length
     assert permutation_sum([1.0, 0.0, 0.0]) == 1.0
     assert permutation_sum([1.0]) == 1.0
 
@@ -100,14 +102,14 @@ def test_permutation_sum_dimension_cap():
 
 
 def test_permutation_sum_fraction_ambient_reading():
-    # without zero stripping the degenerate direction contributes: the
-    # length-3 evaluation of (0.6, 0.4, 0) differs from the stripped one
-    ambient = _permutation_sum_fraction(
-        [Fraction(3, 5), Fraction(2, 5), Fraction(0)], strip=False)
+    # the degenerate direction of a zero entry contributes: the length-3
+    # sum of (0.6, 0.4, 0) differs from the length-2 sum of (0.6, 0.4),
+    # and the positive recursion gives it exactly
+    lam = [Fraction(3, 5), Fraction(2, 5), Fraction(0)]
+    ambient = _permutation_sum_fraction(lam)
     assert ambient == Fraction(13, 25)  # 0.52, hand-checked expansion
-    stripped = _permutation_sum_fraction(
-        [Fraction(3, 5), Fraction(2, 5), Fraction(0)])
-    assert stripped == Fraction(1, 5)
+    assert _permutation_sums(np.array([lam], dtype=object))[0] == ambient
+    assert _permutation_sum_fraction(lam[:2]) == Fraction(1, 5)
 
 
 def test_sup_source_volume_values():
@@ -287,8 +289,7 @@ def public_route(subject, kind, operation_class, planar):
     if not (planar or kind == "accessible"):
         return source_coherence_closed(subject, operation_class)
     va, vs, ca, cs = planar_example_volumes(subject, operation_class)
-    lam = _select_spectrum(subject, operation_class)
-    if np.count_nonzero(lam > 1e-12) == 3:
+    if len(_select_spectrum(subject, operation_class)) == 3:
         measure, sup = "coordinate-plane", 0.5
     else:
         measure, sup = "sorted-representative", RT(2) / 2
@@ -336,18 +337,50 @@ def test_planar_example_volumes_two_level():
     # agreement with the permutation-sum source value
     assert_allclose(cs, source_coherence_closed([0.6, 0.4]).value, atol=1e-12)
 
-    # degenerate support reduces to the segment family at x = 1
-    va, vs, ca, cs = planar_example_volumes([1.0, 0.0, 0.0, 0.0])
+    # zero entries keep their levels: (1, 0, 0) is the incoherent corner
+    # of the coordinate-plane family, (1) the segment family at x = 1
+    assert planar_example_volumes([1.0, 0.0, 0.0]) == (0.0, 0.5, 0.0, 0.0)
+    va, vs, ca, cs = planar_example_volumes([1.0])
     assert ca == cs == 0.0
 
-    with pytest.raises(ValueError, match="support size 4"):
-        planar_example_volumes([0.4, 0.3, 0.2, 0.1])
+    for lam in ([0.4, 0.3, 0.2, 0.1], [1.0, 0.0, 0.0, 0.0]):
+        with pytest.raises(ValueError, match="length 4"):
+            planar_example_volumes(lam)
 
 
 def test_planar_example_accepts_states():
-    state = PureState((2, 2), [RT(0.5), RT(0.3), RT(0.2), 0])
+    state = PureState((3,), [RT(0.5), RT(0.3), RT(0.2)])
     va, vs, ca, cs = planar_example_volumes(state, "IC")
     assert_allclose((va, vs, ca, cs), (0.08, 0.275, 0.16, 0.45), atol=1e-12)
+    # a zero amplitude keeps its level: c = 0 leaves no accessible area
+    va, vs, ca, cs = planar_example_volumes(
+        PureState((3,), [RT(0.5), RT(0.5), 0]), "IC")
+    assert va == ca == 0.0
+    assert_allclose((vs, cs), (0.375, 0.25), atol=1e-12)
+    # a two-qubit state has four levels, here one of them empty
+    with pytest.raises(ValueError, match="length 4"):
+        planar_example_volumes(PureState((2, 2), [RT(0.5), RT(0.3), RT(0.2), 0]),
+                               "IC")
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_emptying_levels_never_raises_the_closed_values(d):
+    # emptying the smallest levels into the largest is a free conversion
+    # (the target majorizes the source), so neither closed value may rise
+    # along it; the accessible closed form covers length 3
+    rng = np.random.default_rng(1400 + d)
+    kinds = ("source", "accessible") if d == 3 else ("source",)
+    for _ in range(300):
+        lam = -np.sort(-rng.standard_exponential(d))
+        lam /= lam.sum()
+        cut = int(rng.integers(1, d))
+        target = np.concatenate([lam[:cut], np.zeros(d - cut)])
+        target[0] += lam[cut:].sum()
+        assert majorizes(target, lam)
+        for kind in kinds:
+            rise = (_closed_monotone(target, kind, "IC").value
+                    - _closed_monotone(lam, kind, "IC").value)
+            assert rise <= 1e-12, (kind, lam, target, rise)
 
 
 # ---------------------------------------------------------------------------

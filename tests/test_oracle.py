@@ -75,24 +75,23 @@ def test_exact_polytope_volume_input_validation():
 ])
 def test_exact_polytope_volume_lengths_5_and_6(sixteenths):
     # dyadic spectra are exact as floats, so the oracle sees the same
-    # rational polytope as the exact permutation sum (ambient reading,
-    # zeros kept)
+    # rational polytope as the exact permutation sum (zeros kept)
     lam = [Fraction(k, 16) for k in sixteenths]
     d = len(lam)
-    expected = sup_source_volume(d) * float(
-        _permutation_sum_fraction(lam, strip=False))
+    expected = sup_source_volume(d) * float(_permutation_sum_fraction(lam))
     assert_allclose(exact_polytope_volume([float(x) for x in lam]),
                     expected, rtol=0, atol=1e-12)
     assert exact_polytope_volume(np.full(d, 1 / d)) == 0.0
 
 
 def test_exact_polytope_keeps_ambient_zeros():
-    # the exact oracle measures the ambient polytope: a padded zero
-    # changes the answer, unlike the zero-stripping closed form
+    # the exact oracle and the closed form both measure the full-length
+    # polytope: a padded zero changes the answer, for both alike
     padded = exact_polytope_volume([0.6, 0.4, 0.0])
     assert_allclose(padded, sup_source_volume(3) * 0.52, atol=1e-12)
-    stripped = sup_source_volume(2) * permutation_sum([0.6, 0.4, 0.0])
-    assert abs(padded - stripped) > 1e-3
+    closed = sup_source_volume(3) * permutation_sum([0.6, 0.4, 0.0])
+    assert abs(padded - closed) <= 1e-12
+    assert abs(padded - exact_polytope_volume([0.6, 0.4])) > 1e-3
 
 
 def test_closed_form_matches_exact_volume():
@@ -490,6 +489,23 @@ def test_suites_audit_the_batched_kernels(monkeypatch):
         (p / 2, branch) for p, branch in apply_to_pure(channel, state)])
     with pytest.raises(RuntimeError, match="lemma1"):
         lemma1_suite(5, seed=1)
+
+
+def test_source_suite_catches_a_zero_stripping_kernel(monkeypatch):
+    # measuring each spectrum on its support alone is not monotone: the
+    # targets that empty levels catch it, in the batched trials and the
+    # audit trial alike
+    kernel = monotones._permutation_sums
+
+    def stripping(spectra):
+        support = np.count_nonzero(spectra > 1e-12, axis=1)
+        return np.array([kernel(row[None, :length])[0]
+                         for row, length in zip(spectra, support)])
+    monkeypatch.setattr(monotones, "_permutation_sums", stripping)
+    monkeypatch.setattr(oracle, "_permutation_sums", stripping)
+    report = monotonicity_suite("source-closed", "IC", 2000, seed=DEFAULT_SEED)
+    assert report.violations > 0
+    assert report.max_increase > 0.1
 
 
 @pytest.mark.parametrize("trials", [0, -5])
