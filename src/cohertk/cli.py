@@ -170,7 +170,7 @@ def _cmd_feasible(args):
     elif cls == "LOCC":
         verdict = locc_pure_feasible(source, target, cut=args.cut)
     elif cls == "LICC":
-        verdict = licc_bipartite_feasible(source, target)
+        verdict = licc_bipartite_feasible(source, target, cut=args.cut)
     else:
         raise ValueError(f"unknown operation class {cls!r}")
     payload = {"class": cls, "feasible": verdict.feasible,
@@ -211,6 +211,11 @@ def _cmd_volume(args):
         payload = _closed_monotone(subject, args.kind, args.operation_class,
                                    args.cut,
                                    planar=region_name == "coordinate-plane")
+        if (args.region == "simplex-sorted"
+                and payload.measure == "coordinate-plane"):
+            raise ValueError("no closed accessible form in the sorted simplex "
+                             "for length 3; use --region coordinate-plane or "
+                             "--method mc")
     elif args.method == "exact":
         if args.kind != "source":
             raise ValueError("exact volumes cover only the source polytope; "
@@ -302,7 +307,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--class", dest="operation_class", required=True,
                    help="IC | SIO | PIO | LICC | LOCC")
     p.add_argument("--cut", type=int, default=None,
-                   help="bipartition size for LOCC (first k parties)")
+                   help="bipartition size for LOCC, LICC (first k parties)")
     add_output(p)
     p.set_defaults(fn=_cmd_feasible)
 

@@ -141,10 +141,11 @@ def _licc_spectrum(state: PureState, cut=None) -> np.ndarray:
     return data.coefficients
 
 
-def licc_bipartite_feasible(psi: PureState, phi: PureState) -> FeasibilityVerdict:
+def licc_bipartite_feasible(psi: PureState, phi: PureState,
+                            cut=None) -> FeasibilityVerdict:
     """Convertibility ``psi -> phi`` under local incoherent operations
     and classical communication, for bipartite states whose reduced
-    states are diagonal in the reference bases.
+    states are diagonal in the reference bases, split at ``cut``.
 
     Raises
     ------
@@ -154,7 +155,7 @@ def licc_bipartite_feasible(psi: PureState, phi: PureState) -> FeasibilityVerdic
     """
     if psi.dims != phi.dims:
         raise ValueError("states have different party structures")
-    return majorization_verdict(_licc_spectrum(phi), _licc_spectrum(psi))
+    return majorization_verdict(*(_licc_spectrum(s, cut) for s in (phi, psi)))
 
 
 #: The class whose qubit criterion, forms and regions each class uses:

@@ -58,6 +58,9 @@ DEFAULT_SEED = 715517
 #: scheduled across workers.
 SHARD_SIZE = 100_000
 
+#: Points per block of the sorted-simplex sampler; a block stays in cache.
+_SIMPLEX_BLOCK = 16_384
+
 _MONOTONICITY_TOL = 1e-8
 
 #: Most points a 4-D counterexample grid may have (19**4 at the default
@@ -88,9 +91,9 @@ class VolumeEstimate:
 class SampleRegion:
     """A sampleable base region with known measure.
 
-    ``sample(rng, n)`` returns an (n, dimension) array of points drawn
-    uniformly from the region.  Its rows are short (2 to d entries), so a
-    predicate should read columns rather than reduce along a row.
+    ``sample(rng, n)`` returns (n, dimension) points drawn uniformly from
+    the region.  Rows are short (2 to d entries) and the sorted simplex
+    returns contiguous columns, so a predicate should read columns.
     """
 
     name: str
@@ -102,12 +105,39 @@ class SampleRegion:
         return self._sampler(rng, n)
 
 
+def _merge_exchange(d):
+    """Comparators of Batcher's merge-exchange network on d wires (Knuth,
+    TAOCP 5.2.2, Algorithm M); each puts the larger entry on wire i."""
+    t, pairs = (d - 1).bit_length(), []
+    for p in (1 << k for k in reversed(range(t))):
+        passes = [(0, p)] + [(p, (1 << k) - p)
+                             for k in reversed(range(p.bit_length(), t))]
+        pairs += [(i, i + gap) for r, gap in passes
+                  for i in range(d - gap) if i & p == r]
+    return pairs
+
+
 def _sample_sorted_simplex(d):
+    """Exponential draws over their row total, sorted nonincreasing, with
+    contiguous columns: the points of ``raw /= raw.sum(axis=1);
+    raw.sort(axis=1); raw[:, ::-1]`` bit for bit.  A row sort is one sort
+    call per point, so each block is sorted by column with a comparator
+    network (it only permutes values), its total added in numpy's row-sum
+    order (a running sum below 8 entries, pairwise from 8)."""
+    pairs = _merge_exchange(d)
+
     def sampler(rng, n):
-        raw = rng.standard_exponential((n, d))
-        raw /= raw.sum(axis=1, keepdims=True)
-        raw.sort(axis=1)
-        return raw[:, ::-1]
+        cols = np.empty((d, n))
+        for start in range(0, n, _SIMPLEX_BLOCK):
+            draw = rng.standard_exponential((min(_SIMPLEX_BLOCK, n - start), d))
+            block, low = cols[:, start:start + len(draw)], np.empty(len(draw))
+            block[...] = draw.T
+            block /= block.sum(axis=0) if d < 8 else draw.sum(axis=1)
+            for i, j in pairs:
+                np.minimum(block[i], block[j], out=low)
+                np.maximum(block[i], block[j], out=block[i])
+                block[j] = low
+        return cols.T
     return sampler
 
 

@@ -208,6 +208,18 @@ def test_feasible_ic_and_locc_pure_states(tmp_path, capsys, bell):
     assert payload["feasible"] is True
 
 
+def test_feasible_licc_reads_the_cut_and_ic_ignores_it(tmp_path, capsys,
+                                                       bell):
+    argv = ["feasible", "--source", bell, "--target", bell]
+    licc = run_cli(capsys, *argv, "--class", "LICC")
+    assert licc[0] == 0
+    assert run_cli(capsys, *argv, "--class", "LICC", "--cut", "1") == licc
+    assert run_cli(capsys, *argv, "--class", "LICC", "--cut", "5")[0] == 1
+    # IC decides pure states by their dephased spectra, with no cut
+    assert (run_cli(capsys, *argv, "--class", "IC", "--cut", "5")
+            == run_cli(capsys, *argv, "--class", "IC"))
+
+
 def test_feasible_ic_bloch_routes_to_qubit_criterion(tmp_path, capsys):
     source = write_json(tmp_path, "src.json", {"bloch": [0.6, 0.0, 0.2]})
     target = write_json(tmp_path, "dst.json", {"bloch": [0.3, 0.0, 0.1]})
@@ -413,6 +425,22 @@ def test_volume_closed_dispatch(tmp_path, capsys):
                        "--kind", "accessible", "--class", "PIO",
                        "--state", bloch)
     assert payload["volume"] == pytest.approx(2 * 0.5 * 1.3, abs=1e-12)
+
+
+def test_volume_closed_honours_an_explicit_sorted_region(tmp_path, capsys):
+    three = write_json(tmp_path, "three.json", {"spectrum": [0.5, 0.3, 0.2]})
+    two = write_json(tmp_path, "two.json", {"spectrum": [0.7, 0.3]})
+    closed = ["volume", "--method", "closed", "--kind", "accessible"]
+    sorted_region = ["--region", "simplex-sorted"]
+    # without --region the length-3 form keeps its coordinate-plane reading
+    default = run_json(capsys, *closed, "--state", three)
+    assert default["measure"] == "coordinate-plane" and default["volume"] == 0.08
+    code, out, err = run_cli(capsys, *closed, *sorted_region, "--state", three)
+    assert (code, out) == (1, "")
+    assert "--region coordinate-plane" in err and "--method mc" in err
+    # length 2 has a sorted-representative form, served either way
+    assert (run_cli(capsys, *closed, *sorted_region, "--state", two)
+            == run_cli(capsys, *closed, "--state", two))
 
 
 # ---------------------------------------------------------------------------
@@ -667,6 +695,16 @@ def test_reused_parser_carries_nothing_between_calls(tmp_path, capsys,
      "--state", "SPEC"],
     ["volume", "--method", "closed", "--region", "coordinate-plane",
      "--state", "BLOCH"],
+    # a length-3 accessible closed form exists only in the coordinate plane
+    ["volume", "--method", "closed", "--kind", "accessible",
+     "--region", "simplex-sorted", "--state", "SPEC"],
+    # --cut is checked on every class that reads a Schmidt cut
+    ["feasible", "--class", "LICC", "--cut", "5", "--source", "BELL",
+     "--target", "BELL"],
+    ["feasible", "--class", "LOCC", "--cut", "5", "--source", "BELL",
+     "--target", "BELL"],
+    ["monotone", "--kind", "source", "--class", "LICC", "--cut", "5",
+     "--state", "BELL"],
     # d! (d-1)! overflows a float for length-200 spectra
     ["monotone", "--kind", "source", "--state", "LONG"],
     ["volume", "--method", "closed", "--state", "LONG"],
@@ -688,6 +726,9 @@ def test_out_of_range_input_exits_1(tmp_path, capsys, argv):
         "LONG": write_json(tmp_path, "long.json",
                            {"spectrum": [0.5, 0.5] + [0.0] * 198}),
         "FLAT": write_json(tmp_path, "flat.json", {"spectrum": [0.005] * 200}),
+        "BELL": write_json(tmp_path, "bell.json",
+                           {"dims": [2, 2], "amps": [[R2, 0.0], [0.0, 0.0],
+                                                     [0.0, 0.0], [R2, 0.0]]}),
     }
     argv = [files.get(arg, arg) for arg in argv]
     code, out, err = run_cli(capsys, *argv)

@@ -149,6 +149,37 @@ def test_make_region_catalog():
         make_region("simplex-sorted")
 
 
+@pytest.mark.parametrize("d", range(2, 10))
+def test_merge_exchange_sorts_every_binary_input(d):
+    # 0-1 principle: a comparator network that sorts all 2**d binary
+    # inputs sorts every input
+    for bits in itertools.product((0, 1), repeat=d):
+        wires = list(bits)
+        for i, j in oracle._merge_exchange(d):
+            wires[i], wires[j] = max(wires[i], wires[j]), min(wires[i], wires[j])
+        assert wires == sorted(bits, reverse=True), bits
+
+
+def _row_sort_simplex(rng, n, d):
+    # the per-row reference the column sampler must reproduce bit for bit
+    raw = rng.standard_exponential((n, d))
+    raw /= raw.sum(axis=1, keepdims=True)
+    raw.sort(axis=1)
+    return raw[:, ::-1]
+
+
+@pytest.mark.parametrize("d", range(2, 10))
+def test_sorted_simplex_sampler_matches_row_sort(d):
+    block = oracle._SIMPLEX_BLOCK
+    sampler = make_region("simplex-sorted", dim=d).sample
+    for seed in (0, 5, 715517):
+        for n in (1, block - 1, block + 1, oracle.SHARD_SIZE, 50_000):
+            points = sampler(np.random.default_rng(seed), n)
+            expected = _row_sort_simplex(np.random.default_rng(seed), n, d)
+            assert np.array_equal(points, expected), (seed, n)
+            assert all(points[:, k].flags.c_contiguous for k in range(d))
+
+
 def test_mc_volume_is_deterministic():
     region = make_region("bloch-disc")
     predicate = qubit_region_predicate(QubitBloch(0.5, 0.0, 0.3),
