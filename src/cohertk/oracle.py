@@ -1,8 +1,8 @@
 """Independent ground truth for the closed-form volumes and monotone
 properties.
 
-Three kinds of oracle live here: exact majorization-polytope volumes by
-rational vertex enumeration (no floating-point noise), seeded
+Three kinds of oracle live here: exact majorization-polytope volumes in
+rational arithmetic (no floating-point noise), seeded
 Monte-Carlo volume estimation over feasibility predicates, and
 property-test drivers for the monotone axioms (nonincrease under free
 channels, and the two conditions — average coherence under selective
@@ -23,9 +23,8 @@ import numpy as np
 from .channels import (_apply_kraus, _check_kraus, _random_kraus,
                        apply_to_density, apply_to_pure, random_channel)
 from .feasibility import _QUBIT_FAMILY, pio_feasible_mask, sio_feasible_mask
-from .monotones import (_QUBIT_FORM_NAMES, _permutation_sums,
-                        _qubit_monotone, permutation_sum, qubit_pio_Ca,
-                        qubit_pio_Cs, qubit_sio_Ca, qubit_sio_Cs,
+from .monotones import (_QUBIT_FORM_NAMES, _permutation_sums, _qubit_monotone,
+                        qubit_pio_Ca, qubit_pio_Cs, qubit_sio_Ca, qubit_sio_Cs,
                         source_coherence_closed, sup_source_volume)
 from .states import (AMP_TOL, PureState, QubitBloch, product_term_count,
                      sorted_spectrum)
@@ -288,129 +287,124 @@ def coordinate_plane_predicate(spectrum, kind: str, slack: float = 1e-10):
 # exact majorization polytope volume (rational arithmetic)
 
 
-def _solve_square_exact(rows):
-    """Solve the n x n Fraction system a . x = b over its n (a, b) rows;
-    None when singular."""
-    n = len(rows)
-    aug = [list(a) + [b] for a, b in rows]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        head = aug[col][col]
-        aug[col] = [x / head for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return tuple(aug[r][n] for r in range(n))
-
-
 def _halfspaces(lam):
-    """Constraints a . x <= b (index -> (a, b)) over x = (mu_1 .. mu_{d-1})
-    for the polytope {mu nonincreasing, sum mu = total, partial sums of mu
-    bounded by those of lam}."""
-    d = len(lam)
-    n = d - 1
-    partial = list(itertools.accumulate(lam))
-    cons = []
-    for k in range(n - 1):  # x_{k+1} <= x_k
-        a = [Fraction(0)] * n
-        a[k + 1], a[k] = Fraction(1), Fraction(-1)
-        cons.append((a, Fraction(0)))
-    # x_{n-1} >= mu_d = total - sum(x):  -(sum x) - x_{n-1} <= -total
-    a = [Fraction(-1)] * n
-    a[n - 1] -= 1
-    cons.append((a, -partial[-1]))
-    # partial sums; the last one, mu_d >= lam_d, also gives mu_d >= 0
-    for k in range(1, d):
-        a = [Fraction(1)] * k + [Fraction(0)] * (n - k)
-        cons.append((a, partial[k - 1]))
-    return dict(enumerate(cons))
+    """Constraints a . x <= b (index -> (a, b)) on x = (mu_1 .. mu_{d-1}) of
+    {mu nonincreasing, sum mu = total, partial sums at most lam's}, mu_i as
+    (coefficients, constant): index k < d - 1 orders mu_{k+1} >= mu_{k+2},
+    index d - 2 + k bounds partial sum k (the last: mu_d >= lam_d >= 0)."""
+    d, partial = len(lam), list(itertools.accumulate(lam))
+    mu = [([Fraction(int(m == i)) for m in range(d - 1)], 0) for i in range(d - 1)]
+    mu.append(([Fraction(-1)] * (d - 1), partial[-1]))
+    order = [([q - p for p, q in zip(mu[k][0], mu[k + 1][0])],
+              mu[k][1] - mu[k + 1][1]) for k in range(d - 1)]
+    bounds = [([Fraction(int(m < k)) for m in range(d - 1)], partial[k - 1])
+              for k in range(1, d)]
+    return dict(enumerate(order + bounds))
 
 
-def _enumerate_vertices(cons, n):
-    """Vertices of {x : a . x <= b for (a, b) in cons.values()}, each
-    mapped to the set of constraint indices tight there."""
-    vertices = {}
-    for subset in itertools.combinations(cons, n):
-        point = _solve_square_exact([cons[i] for i in subset])
-        if point is None or point in vertices:
-            continue
-        tight = set(subset)
-        for i, (a, b) in cons.items():
-            if i not in tight:
-                slack = b - sum(ai * xi for ai, xi in zip(a, point) if ai)
-                if slack < 0:
-                    break
-                if slack == 0:
-                    tight.add(i)
-        else:
-            vertices[point] = frozenset(tight)
+def _block_average_vertices(lam):
+    """Vertices of the source polytope of ``lam`` as points x of
+    :func:`_halfspaces`, each mapped to the indices of its constraints
+    tight there (ties and tight partial sums): the averages of ``lam`` over
+    its 2^(d-1) splits into consecutive blocks, duplicates dropped."""
+    d, partial, vertices = len(lam), [0, *itertools.accumulate(lam)], {}
+    for cuts in range(1 << (d - 1)):
+        ends = [0] + [k for k in range(1, d) if cuts >> (k - 1) & 1] + [d]
+        mu = [(partial[end] - partial[start]) / (end - start)
+              for start, end in zip(ends, ends[1:]) for _ in range(start, end)]
+        sums = list(itertools.accumulate(mu))
+        vertices.setdefault(tuple(mu[:-1]), frozenset(
+            [k for k in range(d - 1) if mu[k] == mu[k + 1]]
+            + [d - 2 + k for k in range(1, d) if sums[k - 1] == partial[k]]))
     return vertices
 
 
-def _facet_volume_sum(cons, vertices, n):
-    """Exact n-volume of a full-dimensional polytope {a . x <= b} from
-    its constraints (index -> (a, b)) and vertices (point -> indices of
-    the constraints tight there), by Lasserre's recursion
-    vol_n(P) = (1/n) sum_F (b / |a_j|) vol_{n-1}(F with x_j eliminated)
-    over the facets F = {a . x = b}: the maximal proper vertex sets of
-    single constraints, each taken once.  The facets of F lie on the
-    facets that F meets in n - 1 or more vertices."""
-    if n == 1:
-        return max(p[0] for p in vertices) - min(p[0] for p in vertices)
-    faces = {}
+def _facet_volume_sum(cons, masks, points, face, coords, memo):
+    """Exact volume of the face ``face`` (a bitmask over ``points``) on
+    ``coords``, where it is the full-dimensional {a . x <= b} of ``cons``
+    (index -> (a, b)); bit v of ``masks[i]`` marks constraint i tight at
+    point v.  Lasserre's recursion from a vertex v, vol_n(P) = (1/n) sum_F
+    (b - a . v) / |a_j| vol_{n-1}(F without x_j), runs over the facets
+    F = {a . x = b} not through v, the maximal proper vertex sets of single
+    constraints; the facets of F lie on the facets it meets in n - 1 or
+    more vertices.  ``memo`` keeps each (face, coordinates) volume once."""
+    if not coords:
+        return Fraction(1)
+    faces, low, n = {}, face & -face, len(coords)
     for i in cons:
-        face = frozenset(p for p, tight in vertices.items() if i in tight)
-        if n <= len(face) < len(vertices):
-            faces.setdefault(face, i)
-    facets = [(face, i) for face, i in faces.items()
-              if not any(face < other for other in faces)]
-    total = Fraction(0)
-    for face, i in facets:
+        if n <= (masks[i] & face).bit_count() and masks[i] & face != face:
+            faces.setdefault(masks[i] & face, i)
+    facets = [(f, i) for f, i in faces.items()
+              if not any(f != other and f & other == f for other in faces)]
+    apex, total = [points[low.bit_length() - 1][c] for c in coords], Fraction(0)
+    for f, i in facets:
+        if f & low:
+            continue
         a, b = cons[i]
         j = next(k for k, c in enumerate(a) if c != 0)
-        sub = {}
-        for other, k in facets:
-            if k != i and len(face & other) >= n - 1:
-                row, rhs = cons[k]
-                f = row[j] / a[j]
-                sub[k] = ([c - f * ai if f else c for m, (c, ai)
-                           in enumerate(zip(row, a)) if m != j], rhs - f * b)
-        sub_vertices = {p[:j] + p[j + 1:]: vertices[p] for p in face}
-        total += b / abs(a[j]) * _facet_volume_sum(sub, sub_vertices, n - 1)
+        key = f, coords[:j] + coords[j + 1:]
+        if key not in memo:
+            sub = {}
+            for other, k in facets:
+                if k != i and (f & other).bit_count() >= n - 1:
+                    row, rhs = cons[k]
+                    r = row[j] / a[j]
+                    sub[k] = ([c - r * ai if r else c for m, (c, ai)
+                               in enumerate(zip(row, a)) if m != j], rhs - r * b)
+            memo[key] = _facet_volume_sum(sub, masks, points, *key, memo)
+        height = b - sum(c * x for c, x in zip(a, apex) if c)
+        total += height / abs(a[j]) * memo[key]
     return total / n
+
+
+def _projected_volume(lam):
+    """Exact volume of the source polytope of the Fraction spectrum
+    ``lam`` over its first d - 1 coordinates (1 at length 1)."""
+    vertices, cons = _block_average_vertices(lam), _halfspaces(lam)
+    masks = {i: sum(1 << v for v, t in enumerate(vertices.values()) if i in t)
+             for i in cons}
+    return _facet_volume_sum(cons, masks, list(vertices), 2 ** len(vertices) - 1,
+                             tuple(range(len(lam) - 1)), {})
 
 
 def exact_polytope_volume(spectrum) -> float:
     """Euclidean volume of the majorization polytope of a sorted
-    spectrum, by exact rational vertex enumeration and one facet
-    recursion (Lasserre 1983) in every dimension.
+    spectrum, from its closed vertex list and one memoized facet
+    recursion (Lasserre 1983), in exact rational arithmetic.
 
     The polytope is {mu nonincreasing, sum mu = sum lam, partial sums
     of mu <= those of lam}, measured inside the simplex hyperplane
     (metric factor sqrt(d) over the first d-1 coordinates).  Zero
     entries are kept — the ambient dimension is part of the input.
-    Supports lengths up to 6; length 1 returns 1.0 by convention.
+    Supports lengths up to 8; length 1 returns 1.0 by convention.
+
+    Its vertices are the averages of lam over its splits into
+    consecutive blocks.  Proof: call k tight at mu when the partial sums
+    S_k of mu and P_k of lam agree (k = 0 and d always are).  (a) A tie
+    mu_k = mu_{k+1} at a tight k makes k - 1 and k + 1 tight, as
+    S_{k-1} <= P_{k-1} and S_{k+1} <= P_{k+1} give lam_k <= mu_k =
+    mu_{k+1} <= lam_{k+1} <= lam_k.  (b) A vertex is flat on each block
+    between consecutive tight k, so holds lam's average there: else moving
+    mass t between two adjacent flat runs of a block, evenly within each,
+    keeps mu in the polytope for both signs of a small t, since sums
+    outside the block stay, those inside are slack, runs keep their ties,
+    and orderings between runs, and across the block's ends by (a), are
+    strict.  (c) Each block-average point lies in the polytope (a prefix
+    of a nonincreasing block averages at least the block) and is a vertex:
+    its tight cuts and inner ties, with the total, fix each block's value,
+    so n of them are independent.  Unless lam is uniform, P_k > k/d for
+    0 < k < d, so the polytope is full-dimensional: the uniform point plus
+    a small strictly decreasing zero-sum vector is interior.
     """
     lam = [Fraction(x) for x in np.asarray(spectrum, dtype=float)]
     d = len(lam)
-    if d > 6:
-        raise ValueError("exact volumes are implemented for lengths <= 6")
+    if d > 8:
+        raise ValueError("exact volumes are implemented for lengths <= 8")
     if any(lam[i] < lam[i + 1] for i in range(d - 1)) or lam[-1] < 0:
         raise ValueError("spectrum must be sorted nonincreasing and nonnegative")
     if abs(float(sum(lam)) - 1.0) > 1e-8:
         raise ValueError("spectrum must sum to 1")
-    if d == 1:
-        return 1.0
-    n = d - 1
-    cons = _halfspaces(lam)
-    vertices = _enumerate_vertices(cons, n)
-    if len(vertices) <= n:
-        return 0.0
-    return float(_facet_volume_sum(cons, vertices, n)) * math.sqrt(d)
+    return float(_projected_volume(lam)) * math.sqrt(d)
 
 
 @dataclass(frozen=True)
@@ -432,19 +426,19 @@ def formula_identity_check(count: int = 100, dims=(2, 3, 4),
     absolute difference."""
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
-    if not all(1 <= d <= 6 for d in dims):
-        raise ValueError(f"dims must lie in 1..6, got {tuple(dims)}")
+    if not all(1 <= d <= 8 for d in dims):
+        raise ValueError(f"dims must lie in 1..8, got {tuple(dims)}")
     rng = np.random.default_rng(seed)
     worst = 0.0
     for d in dims:
-        sup = sup_source_volume(d)
-        for _ in range(count):
-            lam = rng.standard_exponential(d)
-            lam /= lam.sum()
-            lam[::-1].sort()
-            closed = sup * permutation_sum(lam)
-            exact = exact_polytope_volume(lam)
-            worst = max(worst, abs(closed - exact))
+        # the draws, totals and sums of one spectrum at a time, bit for bit
+        for start in range(0, count, _TRIAL_BLOCK):
+            lam = rng.standard_exponential((min(_TRIAL_BLOCK, count - start), d))
+            lam /= lam.sum(axis=1, keepdims=True)
+            lam = np.sort(lam, axis=1)[:, ::-1]
+            closed = sup_source_volume(d) * _permutation_sums(lam)
+            for row, value in zip(lam, closed.tolist()):
+                worst = max(worst, abs(value - exact_polytope_volume(row)))
     return IdentityReport(count=count, dims=tuple(dims), seed=seed,
                           max_abs_difference=worst)
 
@@ -943,11 +937,17 @@ def b3_b4_counterexamples(step: float = 0.05) -> CounterexampleReport:
 
 def _summarize(condition, monotone, reading, family, gaps, **params):
     """One grid row: how many gaps exceed the margin, and the first largest
-    gap with its family and grid parameters (broadcast to the gaps' shape)."""
-    best = np.unravel_index(np.argmax(gaps), gaps.shape)
+    gap with its family and grid parameters (broadcast to the gaps' shape).
+    A largest gap within 1e-12 of 0 is a tie up to rounding: the row
+    reports 0.0 at the first point whose gap is at least -1e-12."""
+    best = np.argmax(gaps)
+    margin = float(gaps.flat[best])
+    if abs(margin) <= 1e-12:
+        best, margin = np.argmax(gaps >= -1e-12), 0.0
+    best = np.unravel_index(best, gaps.shape)
     return GridViolations(
         condition=condition, monotone=monotone, reading=reading,
         count=int(np.count_nonzero(gaps > _MARGIN)),
-        best_margin=float(gaps[best]),
+        best_margin=margin,
         best_parameters={k: float(np.broadcast_to(v, gaps.shape)[best])
                          for k, v in params.items()} | {"family": family})

@@ -368,6 +368,30 @@ def test_volume_exact_method(tmp_path, capsys):
     assert exact["volume"] == pytest.approx(closed["volume"], abs=1e-12)
 
 
+@pytest.mark.parametrize("spectrum, volume", [
+    ([0.5, 0.3, 0.2], "0.0187638837487"),
+    ([0.4, 0.3, 0.2, 0.1], "0.00133333333333"),
+    ([0.35, 0.25, 0.2, 0.1, 0.1], "3.10322367971e-05"),
+    ([0.3, 0.2, 0.2, 0.15, 0.1, 0.05], "9.34683043488e-07"),
+    ([1, 0, 0, 0], "0.0138888888889"),
+    ([0.25] * 4, "0.0"),
+])
+def test_volume_exact_bytes_are_pinned(tmp_path, capsys, spectrum, volume):
+    # the bytes the generic vertex search printed
+    path = write_json(tmp_path, "spec.json", {"spectrum": spectrum})
+    assert run_cli(capsys, "volume", "--method", "exact", "--state", path) \
+        == (0, '{\n  "method": "exact",\n  "volume": %s\n}\n' % volume, "")
+
+
+def test_volume_exact_reaches_length_8(tmp_path, capsys):
+    spectrum = [k / 16 for k in (4, 3, 3, 2, 1, 1, 1, 1)]
+    path = write_json(tmp_path, "spec.json", {"spectrum": spectrum})
+    closed, exact = (run_json(capsys, "volume", "--method", method,
+                              "--state", path)["volume"]
+                     for method in ("closed", "exact"))
+    assert exact == pytest.approx(closed, rel=1e-9, abs=0)
+
+
 def test_volume_exact_rejects_accessible_kind(tmp_path, capsys):
     spectrum = write_json(tmp_path, "spec.json",
                           {"spectrum": [0.4, 0.3, 0.2, 0.1]})
@@ -452,6 +476,21 @@ def test_check_identity_suite(capsys):
                        "--count", "5", "--dims", "2,3")
     assert payload["max_abs_difference"] < 1e-9
     assert payload["dims"] == [2, 3]
+
+
+@pytest.mark.parametrize("argv, dims, difference", [
+    ([], "2,\n    3,\n    4", "2.77555756156e-17"),
+    (["--count", "3", "--dims", "1,5,6", "--seed", "9"], "1,\n    5,\n    6",
+     "1.08420217249e-19"),
+])
+def test_check_identity_bytes_are_pinned(capsys, argv, dims, difference):
+    # the bytes the generic vertex search and spectrum loop printed
+    code, out, err = run_cli(capsys, "check", "--suite", "identity", *argv)
+    count, seed = (argv[1], argv[5]) if argv else ("100", "715517")
+    assert (code, err) == (0, "")
+    assert out == ('{\n  "count": %s,\n  "dims": [\n    %s\n  ],\n'
+                   '  "seed": %s,\n  "max_abs_difference": %s\n}\n'
+                   % (count, dims, seed, difference))
 
 
 def test_check_monotonicity_suite(capsys):
@@ -713,6 +752,9 @@ def test_reused_parser_carries_nothing_between_calls(tmp_path, capsys,
     ["check", "--suite", "identity", "--dims", "200", "--count", "1"],
     ["check", "--suite", "identity", "--dims", "2,100000000", "--count", "1"],
     ["check", "--suite", "identity", "--dims", "0", "--count", "1"],
+    ["check", "--suite", "identity", "--dims", "9", "--count", "1"],
+    # exact volumes stop at length 8
+    ["volume", "--method", "exact", "--state", "NINE"],
 ])
 def test_out_of_range_input_exits_1(tmp_path, capsys, argv):
     # dumps would write NaN as null, so the file is written by hand
@@ -726,6 +768,8 @@ def test_out_of_range_input_exits_1(tmp_path, capsys, argv):
         "LONG": write_json(tmp_path, "long.json",
                            {"spectrum": [0.5, 0.5] + [0.0] * 198}),
         "FLAT": write_json(tmp_path, "flat.json", {"spectrum": [0.005] * 200}),
+        "NINE": write_json(tmp_path, "nine.json",
+                           {"spectrum": [0.2] + [0.1] * 8}),
         "BELL": write_json(tmp_path, "bell.json",
                            {"dims": [2, 2], "amps": [[R2, 0.0], [0.0, 0.0],
                                                      [0.0, 0.0], [R2, 0.0]]}),

@@ -62,7 +62,7 @@ def test_exact_polytope_volume_pinned_values():
 
 def test_exact_polytope_volume_input_validation():
     with pytest.raises(ValueError, match="lengths"):
-        exact_polytope_volume(np.full(7, 1 / 7))
+        exact_polytope_volume(np.full(9, 1 / 9))
     with pytest.raises(ValueError, match="sorted nonincreasing"):
         exact_polytope_volume([0.4, 0.6])
     with pytest.raises(ValueError, match="sum to 1"):
@@ -82,6 +82,104 @@ def test_exact_polytope_volume_lengths_5_and_6(sixteenths):
     assert_allclose(exact_polytope_volume([float(x) for x in lam]),
                     expected, rtol=0, atol=1e-12)
     assert exact_polytope_volume(np.full(d, 1 / d)) == 0.0
+
+
+def test_exact_polytope_volume_length_7_is_the_permutation_sum():
+    # dyadic entries are exact as floats, so the oracle's rational volume,
+    # over the measure of the sorted simplex, is the exact permutation sum
+    lam = [Fraction(k, 32) for k in (11, 7, 5, 4, 2, 2, 1)]
+    volume = oracle._projected_volume(lam)
+    assert volume * math.factorial(7) * math.factorial(6) \
+        == _permutation_sum_fraction(lam)
+    assert exact_polytope_volume([float(x) for x in lam]) \
+        == float(volume) * RT(7)
+
+
+# the volumes the generic vertex search gave, bit for bit
+_PINNED_EXACT = [
+    ([0.6, 0.4], 0.14142135623730948),
+    ([0.5, 0.3, 0.2], 0.018763883748662835),
+    ([0.4, 0.3, 0.2, 0.1], 0.0013333333333333335),
+    ([0.4, 0.4, 0.1, 0.1], 0.0015000000000000002),
+    ([0.35, 0.25, 0.2, 0.1, 0.1], 3.1032236797116214e-05),
+    ([0.7, 0.1, 0.1, 0.1, 0.0], 0.0004771054764491738),
+    ([1 / 3, 1 / 3, 1 / 3, 0, 0], 0.0001054387335069345),
+    ([0.3, 0.2, 0.2, 0.15, 0.1, 0.05], 9.346830434882279e-07),
+    ([0.5, 0.25, 0.25, 0, 0, 0], 2.1373676231425118e-05),
+    ([0.9, 0.02, 0.02, 0.02, 0.02, 0.02], 1.4961503670612334e-05),
+]
+
+
+@pytest.mark.parametrize("spectrum, volume", _PINNED_EXACT)
+def test_exact_polytope_volume_is_pinned(spectrum, volume):
+    assert exact_polytope_volume(spectrum) == volume
+
+
+def _solve_square_exact(rows):
+    """Solve the n x n Fraction system a . x = b over its n (a, b) rows;
+    None when singular."""
+    n = len(rows)
+    aug = [list(a) + [b] for a, b in rows]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot is None:
+            return None
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        head = aug[col][col]
+        aug[col] = [x / head for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
+    return tuple(aug[r][n] for r in range(n))
+
+
+def _enumerate_vertices(cons, n):
+    """Vertices of {x : a . x <= b for (a, b) in cons.values()}, each
+    mapped to the set of constraint indices tight there: every feasible
+    solution of n constraints taken as equalities."""
+    vertices = {}
+    for subset in itertools.combinations(cons, n):
+        point = _solve_square_exact([cons[i] for i in subset])
+        if point is None or point in vertices:
+            continue
+        tight = set(subset)
+        for i, (a, b) in cons.items():
+            if i not in tight:
+                slack = b - sum(ai * xi for ai, xi in zip(a, point) if ai)
+                if slack < 0:
+                    break
+                if slack == 0:
+                    tight.add(i)
+        else:
+            vertices[point] = frozenset(tight)
+    return vertices
+
+
+def _rational_spectra():
+    """Seeded sorted rational spectra of lengths 2-6, with zeros and
+    repeated entries, and the uniform and zero-padded corner cases."""
+    rng = np.random.default_rng(20)
+    spectra = [[1, 0, 0, 0], [Fraction(1, 2)] * 2 + [0, 0],
+               [Fraction(2, 5)] * 2 + [Fraction(1, 10)] * 2,
+               [Fraction(1, 3)] * 3 + [0]]
+    spectra += [[Fraction(1, d)] * d for d in range(2, 7)]
+    for d in range(2, 7):
+        for units in (3, 12):
+            for _ in range(4):
+                k = sorted(rng.integers(0, units, size=d).tolist(), reverse=True)
+                k[0] += 1
+                spectra.append([Fraction(x, sum(k)) for x in k])
+    return spectra
+
+
+@pytest.mark.parametrize("lam", _rational_spectra(),
+                         ids=lambda lam: ",".join(map(str, lam)))
+def test_block_averages_are_the_vertices(lam):
+    lam = [Fraction(x) for x in lam]
+    cons = oracle._halfspaces(lam)
+    assert oracle._block_average_vertices(lam) \
+        == _enumerate_vertices(cons, len(lam) - 1)
 
 
 def test_exact_polytope_keeps_ambient_zeros():
@@ -104,9 +202,25 @@ def test_closed_form_matches_exact_volume():
                     exact_polytope_volume(lam), atol=1e-12)
 
 
-def test_closed_form_matches_exact_volume_at_lengths_5_and_6():
-    report = formula_identity_check(count=2, dims=(5, 6))
+def test_closed_form_matches_exact_volume_at_lengths_5_to_8():
+    report = formula_identity_check(count=2, dims=(5, 6, 7, 8))
     assert report.max_abs_difference <= 1e-9
+
+
+@pytest.mark.parametrize("count, dims, seed", [
+    (5, (2, 3, 4), 1), (3, (1, 5, 6), 9), (2, (7, 8), DEFAULT_SEED)])
+def test_formula_identity_check_matches_the_spectrum_loop(count, dims, seed):
+    # one spectrum at a time, through the public scalar functions
+    rng, worst = np.random.default_rng(seed), 0.0
+    for d in dims:
+        for _ in range(count):
+            lam = rng.standard_exponential(d)
+            lam /= lam.sum()
+            lam[::-1].sort()
+            closed = sup_source_volume(d) * permutation_sum(lam)
+            worst = max(worst, abs(closed - exact_polytope_volume(lam)))
+    assert formula_identity_check(count, dims, seed).max_abs_difference \
+        == worst
 
 
 def test_formula_identity_check_rejects_zero_count():
@@ -690,6 +804,32 @@ def test_counterexample_numbers_are_pinned(step):
     assert_allclose([(inst.normalized_convention, inst.as_printed_convention)
                      for inst in report.printed_instances],
                     _PINNED_PRINTED, rtol=0, atol=1e-12)
+
+
+def test_a_tie_row_reports_zero_at_its_first_tie():
+    # a largest gap within 1e-12 of 0 is rounding noise on a tie: 0.0 at
+    # the first point whose gap is at least -1e-12
+    gaps = np.array([[-1.0, -2e-12, -5e-13], [4e-16, 2e-16, -3.0]])
+    axes = {"x": np.arange(3.0), "y": np.array([[0.0], [1.0]])}
+    row = oracle._summarize("c", "m", "r", "f", gaps, **axes)
+    assert row.best_margin == 0.0
+    assert row.best_parameters == {"x": 2.0, "y": 0.0, "family": "f"}
+    # a gap outside the band keeps its value and its first largest point
+    gaps[1, 1] = 2e-12
+    row = oracle._summarize("c", "m", "r", "f", gaps, **axes)
+    assert row.best_margin == 2e-12
+    assert row.best_parameters == {"x": 1.0, "y": 1.0, "family": "f"}
+
+
+def test_counterexample_tie_row(counterexample_report):
+    # only the accessible diagonal-instrument row ties, at a = b: an
+    # instrument proportional to the identity leaves every branch unchanged
+    ties = [g for g in counterexample_report.grid if abs(g.best_margin) <= 1e-12]
+    assert [(g.monotone, g.reading) for g in ties] == [("accessible", "weighted")]
+    assert ties[0].best_margin == 0.0
+    assert ties[0].best_parameters == {"a": 0.05, "b": 0.05, "t": 0.05,
+                                       "z": 0.05,
+                                       "family": "diagonal-instrument"}
 
 
 @pytest.mark.parametrize("step", [0.03, 0.05, 0.1, 0.2])
