@@ -288,29 +288,25 @@ def coordinate_plane_predicate(spectrum, kind: str, slack: float = 1e-10):
 
 
 def _halfspaces(lam):
-    """Constraints a . x <= b (index -> (a, b)) on x = (mu_1 .. mu_{d-1}) of
-    {mu nonincreasing, sum mu = total, partial sums at most lam's}, mu_i as
-    (coefficients, constant): index k < d - 1 orders mu_{k+1} >= mu_{k+2},
-    index d - 2 + k bounds partial sum k (the last: mu_d >= lam_d >= 0)."""
-    d, partial = len(lam), list(itertools.accumulate(lam))
-    mu = [([Fraction(int(m == i)) for m in range(d - 1)], 0) for i in range(d - 1)]
-    mu.append(([Fraction(-1)] * (d - 1), partial[-1]))
-    order = [([q - p for p, q in zip(mu[k][0], mu[k + 1][0])],
-              mu[k][1] - mu[k + 1][1]) for k in range(d - 1)]
-    bounds = [([Fraction(int(m < k)) for m in range(d - 1)], partial[k - 1])
-              for k in range(1, d)]
-    return dict(enumerate(order + bounds))
+    """Integer constraints a . x <= b (index -> (a, b)) on x = (mu_1 ..
+    mu_{d-1}), mu_d = total - sum(x), of {mu nonincreasing, partial sums at
+    most lam's}: index k < d - 1 orders mu_{k+1} >= mu_{k+2}, index d - 2 + k
+    bounds partial sum k (the last: mu_d >= lam_d >= 0)."""
+    n, partial = len(lam) - 1, list(itertools.accumulate(lam))
+    mu = np.vstack([np.eye(n, dtype=int), -np.ones(n, dtype=int)])
+    rows = np.vstack([mu[1:] - mu[:-1], np.tri(n, dtype=int)]).tolist()
+    return dict(enumerate(zip(rows, [0] * (n - 1) + [-partial[-1]] + partial[:-1])))
 
 
 def _block_average_vertices(lam):
-    """Vertices of the source polytope of ``lam`` as points x of
-    :func:`_halfspaces`, each mapped to the indices of its constraints
-    tight there (ties and tight partial sums): the averages of ``lam`` over
-    its 2^(d-1) splits into consecutive blocks, duplicates dropped."""
+    """Vertices of the source polytope of integers ``lam`` with integer
+    block averages, as points x of :func:`_halfspaces` mapped to the
+    indices of their tight constraints: the averages of ``lam`` over its
+    2^(d-1) splits into consecutive blocks, duplicates dropped."""
     d, partial, vertices = len(lam), [0, *itertools.accumulate(lam)], {}
     for cuts in range(1 << (d - 1)):
         ends = [0] + [k for k in range(1, d) if cuts >> (k - 1) & 1] + [d]
-        mu = [(partial[end] - partial[start]) / (end - start)
+        mu = [(partial[end] - partial[start]) // (end - start)
               for start, end in zip(ends, ends[1:]) for _ in range(start, end)]
         sums = list(itertools.accumulate(mu))
         vertices.setdefault(tuple(mu[:-1]), frozenset(
@@ -320,23 +316,24 @@ def _block_average_vertices(lam):
 
 
 def _facet_volume_sum(cons, masks, points, face, coords, memo):
-    """Exact volume of the face ``face`` (a bitmask over ``points``) on
-    ``coords``, where it is the full-dimensional {a . x <= b} of ``cons``
-    (index -> (a, b)); bit v of ``masks[i]`` marks constraint i tight at
-    point v.  Lasserre's recursion from a vertex v, vol_n(P) = (1/n) sum_F
-    (b - a . v) / |a_j| vol_{n-1}(F without x_j), runs over the facets
-    F = {a . x = b} not through v, the maximal proper vertex sets of single
-    constraints; the facets of F lie on the facets it meets in n - 1 or
-    more vertices.  ``memo`` keeps each (face, coordinates) volume once."""
+    """n! times the volume of the face ``face`` (a bitmask over the integer
+    ``points``) on ``coords``, where it is the full-dimensional {a . x <= b}
+    of ``cons`` (index -> integer (a, b)); bit v of ``masks[i]`` marks
+    constraint i tight at point v.  From a vertex v, P is the union of the
+    pyramids over its facets F = {a . x = b} not through v, the maximal
+    proper vertex sets of single constraints.  A pyramid's n! volume,
+    (b - a . v) / |a_j| times the (n-1)! volume of F without x_j (Lasserre
+    1983), is an integer, as its vertices are.  F is eliminated into each
+    facet it meets in n - 1 or more vertices, rows scaled by |a_j| > 0, and
+    ``memo`` keeps each (face, coordinates) volume."""
     if not coords:
-        return Fraction(1)
-    faces, low, n = {}, face & -face, len(coords)
-    for i in cons:
-        if n <= (masks[i] & face).bit_count() and masks[i] & face != face:
-            faces.setdefault(masks[i] & face, i)
+        return 1
+    low, n = face & -face, len(coords)
+    faces = {masks[i] & face: i for i in cons
+             if n <= (masks[i] & face).bit_count() and masks[i] & face != face}
     facets = [(f, i) for f, i in faces.items()
               if not any(f != other and f & other == f for other in faces)]
-    apex, total = [points[low.bit_length() - 1][c] for c in coords], Fraction(0)
+    apex, total = [points[low.bit_length() - 1][c] for c in coords], 0
     for f, i in facets:
         if f & low:
             continue
@@ -344,27 +341,31 @@ def _facet_volume_sum(cons, masks, points, face, coords, memo):
         j = next(k for k, c in enumerate(a) if c != 0)
         key = f, coords[:j] + coords[j + 1:]
         if key not in memo:
-            sub = {}
+            p, sub = abs(a[j]), {}
             for other, k in facets:
                 if k != i and (f & other).bit_count() >= n - 1:
                     row, rhs = cons[k]
-                    r = row[j] / a[j]
-                    sub[k] = ([c - r * ai if r else c for m, (c, ai)
-                               in enumerate(zip(row, a)) if m != j], rhs - r * b)
+                    q = row[j] if a[j] > 0 else -row[j]
+                    sub[k] = ([p * c - q * ai for m, (c, ai)
+                               in enumerate(zip(row, a)) if m != j], p * rhs - q * b)
             memo[key] = _facet_volume_sum(sub, masks, points, *key, memo)
         height = b - sum(c * x for c, x in zip(a, apex) if c)
-        total += height / abs(a[j]) * memo[key]
-    return total / n
+        total += height * memo[key] // abs(a[j])
+    return total
 
 
 def _projected_volume(lam):
-    """Exact volume of the source polytope of the Fraction spectrum
-    ``lam`` over its first d - 1 coordinates (1 at length 1)."""
+    """Exact volume of the source polytope of the Fraction spectrum ``lam``
+    over its first d - 1 coordinates, scaled so block averages are integers."""
+    d = len(lam)
+    scale = math.lcm(*range(1, d + 1)) * math.lcm(*(x.denominator for x in lam))
+    lam = [int(x * scale) for x in lam]
     vertices, cons = _block_average_vertices(lam), _halfspaces(lam)
     masks = {i: sum(1 << v for v, t in enumerate(vertices.values()) if i in t)
              for i in cons}
-    return _facet_volume_sum(cons, masks, list(vertices), 2 ** len(vertices) - 1,
-                             tuple(range(len(lam) - 1)), {})
+    volume = _facet_volume_sum(cons, masks, list(vertices), 2 ** len(vertices) - 1,
+                               tuple(range(d - 1)), {})
+    return Fraction(volume, math.factorial(d - 1) * scale ** (d - 1))
 
 
 def exact_polytope_volume(spectrum) -> float:
@@ -397,14 +398,13 @@ def exact_polytope_volume(spectrum) -> float:
     a small strictly decreasing zero-sum vector is interior.
     """
     lam = [Fraction(x) for x in np.asarray(spectrum, dtype=float)]
-    d = len(lam)
-    if d > 8:
+    if len(lam) > 8:
         raise ValueError("exact volumes are implemented for lengths <= 8")
-    if any(lam[i] < lam[i + 1] for i in range(d - 1)) or lam[-1] < 0:
+    if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)) or lam[-1] < 0:
         raise ValueError("spectrum must be sorted nonincreasing and nonnegative")
     if abs(float(sum(lam)) - 1.0) > 1e-8:
         raise ValueError("spectrum must sum to 1")
-    return float(_projected_volume(lam)) * math.sqrt(d)
+    return float(_projected_volume(lam)) * math.sqrt(len(lam))
 
 
 @dataclass(frozen=True)
@@ -423,7 +423,8 @@ def formula_identity_check(count: int = 100, dims=(2, 3, 4),
     """For ``count`` random strictly positive sorted spectra in each
     dimension, compare sup-volume times the signed permutation sum
     against :func:`exact_polytope_volume` and report the largest
-    absolute difference."""
+    absolute difference.  Blocks of spectra give the draws, totals and
+    closed values of one spectrum at a time, bit for bit."""
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
     if not all(1 <= d <= 8 for d in dims):
@@ -431,7 +432,6 @@ def formula_identity_check(count: int = 100, dims=(2, 3, 4),
     rng = np.random.default_rng(seed)
     worst = 0.0
     for d in dims:
-        # the draws, totals and sums of one spectrum at a time, bit for bit
         for start in range(0, count, _TRIAL_BLOCK):
             lam = rng.standard_exponential((min(_TRIAL_BLOCK, count - start), d))
             lam /= lam.sum(axis=1, keepdims=True)
@@ -937,9 +937,8 @@ def b3_b4_counterexamples(step: float = 0.05) -> CounterexampleReport:
 
 def _summarize(condition, monotone, reading, family, gaps, **params):
     """One grid row: how many gaps exceed the margin, and the first largest
-    gap with its family and grid parameters (broadcast to the gaps' shape).
-    A largest gap within 1e-12 of 0 is a tie up to rounding: the row
-    reports 0.0 at the first point whose gap is at least -1e-12."""
+    gap with its family and grid parameters (broadcast to the gaps' shape);
+    a largest gap within 1e-12 of 0 is a tie: 0.0 at the first gap >= -1e-12."""
     best = np.argmax(gaps)
     margin = float(gaps.flat[best])
     if abs(margin) <= 1e-12:
