@@ -356,7 +356,7 @@ def _facet_volume_sum(cons, masks, points, face, coords, memo):
 
 def _projected_volume(lam):
     """Exact volume of the source polytope of the Fraction spectrum ``lam``
-    over its first d - 1 coordinates, scaled so block averages are integers."""
+    over its first d - 1 coordinates, counted on lam scaled to a lattice."""
     d = len(lam)
     scale = math.lcm(*range(1, d + 1)) * math.lcm(*(x.denominator for x in lam))
     lam = [int(x * scale) for x in lam]
@@ -371,7 +371,7 @@ def _projected_volume(lam):
 def exact_polytope_volume(spectrum) -> float:
     """Euclidean volume of the majorization polytope of a sorted
     spectrum, from its closed vertex list and one memoized facet
-    recursion (Lasserre 1983), in exact rational arithmetic.
+    recursion (Lasserre 1983), exactly, in integers on a scaled lattice.
 
     The polytope is {mu nonincreasing, sum mu = sum lam, partial sums
     of mu <= those of lam}, measured inside the simplex hyperplane
