@@ -5,10 +5,9 @@ channel classes, transformation feasibility, and volume-based coherence
 monotones with independent exact and Monte-Carlo oracles.
 """
 
-from .channels import (IncoherentChannel, KrausOperator, LocalBranch,
-                       LocalChannelProduct, apply_to_density, apply_to_pure,
-                       complete_to_povm, local_product_apply, random_channel,
-                       validate_class)
+from .channels import (IncoherentChannel, LocalBranch, LocalChannelProduct,
+                       apply_to_density, apply_to_pure, local_product_apply,
+                       random_channel, validate_class)
 from .classify import (LiuWitness, SliccClass, TemplateWitness,
                        canonical_form_r4, canonical_state, liu_equivalent,
                        slicc_class_2qubit, slicc_equivalent_2qubit,
@@ -45,10 +44,9 @@ __all__ = [
     "maximally_correlated_lift", "product_term_count", "schmidt_spectrum",
     "sorted_spectrum",
     # channels
-    "IncoherentChannel", "KrausOperator", "LocalBranch",
-    "LocalChannelProduct", "apply_to_density", "apply_to_pure",
-    "complete_to_povm", "local_product_apply", "random_channel",
-    "validate_class",
+    "IncoherentChannel", "LocalBranch", "LocalChannelProduct",
+    "apply_to_density", "apply_to_pure", "local_product_apply",
+    "random_channel", "validate_class",
     # feasibility
     "FeasibilityVerdict", "LemmaNotApplicableError", "ic_pure_feasible",
     "licc_bipartite_feasible", "locc_pure_feasible", "majorization_verdict",

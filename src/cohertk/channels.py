@@ -22,24 +22,21 @@ returns the strongest label that applies.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .states import PureState, QubitBloch, bloch_from_density, density_from_bloch
 
 __all__ = [
-    "KrausOperator",
     "IncoherentChannel",
     "LocalChannelProduct",
     "LocalBranch",
     "validate_class",
     "apply_to_pure",
     "apply_to_density",
-    "complete_to_povm",
     "random_channel",
     "local_product_apply",
 ]
@@ -54,81 +51,10 @@ _CLASSES = ("IU", "PIO", "SIO", "IC")
 _CLASS_ORDER = {tag: order for order, tag in enumerate(_CLASSES)}
 
 
-@dataclass(frozen=True)
-class KrausOperator:
-    """A single incoherent Kraus operator in sparse form.
-
-    Parameters
-    ----------
-    dim : int
-        Dimension of the space the operator acts on.
-    entries : iterable of (target, source, coefficient)
-        At most one entry per source index; this column sparsity is the
-        defining structure of an incoherent operator and is enforced.
-    """
-
-    dim: int
-    entries: tuple = field(repr=False)
-
-    def __init__(self, dim: int, entries: Iterable):
-        dim = int(dim)
-        if dim < 1:
-            raise ValueError("dim must be positive")
-        norm_entries = []
-        seen_sources = set()
-        for target, source, coeff in entries:
-            target, source, coeff = int(target), int(source), complex(coeff)
-            if not (0 <= target < dim and 0 <= source < dim):
-                raise ValueError(f"entry ({target},{source}) outside dim {dim}")
-            if not cmath.isfinite(coeff):
-                raise ValueError(f"entry ({target},{source}) is not finite")
-            if source in seen_sources:
-                raise ValueError(
-                    f"two entries share source column {source}: "
-                    "not an incoherent operator")
-            if coeff != 0:
-                seen_sources.add(source)
-                norm_entries.append((target, source, coeff))
-        norm_entries.sort(key=lambda e: e[1])
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "entries", tuple(norm_entries))
-
-    @classmethod
-    def from_matrix(cls, mat, tol: float = 0.0) -> "KrausOperator":
-        """Build from a dense matrix, checking column sparsity.
-
-        Entries with modulus <= ``tol`` are treated as zero.
-        """
-        arr = np.asarray(mat, dtype=complex)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError("expected a square matrix")
-        if not np.isfinite(arr).all():
-            raise ValueError("matrix has a non-finite entry")
-        dim = arr.shape[0]
-        entries = []
-        for source in range(dim):
-            col = arr[:, source]
-            hot = np.flatnonzero(np.abs(col) > tol)
-            if hot.size > 1:
-                raise ValueError(
-                    f"column {source} has {hot.size} nonzero entries: "
-                    "not an incoherent operator")
-            if hot.size == 1:
-                entries.append((int(hot[0]), source, complex(col[hot[0]])))
-        return cls(dim, entries)
-
-    def matrix(self) -> np.ndarray:
-        mat = np.zeros((self.dim, self.dim), dtype=complex)
-        for target, source, coeff in self.entries:
-            mat[target, source] = coeff
-        return mat
-
-
 def _kraus_array(ops) -> np.ndarray:
-    """A Kraus set (:class:`KrausOperator` objects or dense matrices) as
-    one ``(n_kraus, dim, dim)`` complex array."""
-    mats = [op.matrix() if isinstance(op, KrausOperator)
-            else np.asarray(op, dtype=complex) for op in ops]
+    """A Kraus set of dense square matrices as one ``(n_kraus, dim, dim)``
+    complex array."""
+    mats = [np.asarray(op, dtype=complex) for op in ops]
     if not mats:
         raise ValueError("empty Kraus list")
     if any(m.ndim != 2 or m.shape[0] != m.shape[1] for m in mats):
@@ -177,11 +103,10 @@ def _check_kraus(kraus, class_tag: str = "IC") -> np.ndarray:
 def validate_class(channel_or_kraus) -> str:
     """Return the strongest class label a Kraus set satisfies.
 
-    Accepts an :class:`IncoherentChannel`, a list of
-    :class:`KrausOperator`, or a list of dense matrices.  Checks the
-    completeness relation (Frobenius norm below ``1e-9``) and the column
-    sparsity, then reports the first of ``IU``, ``PIO``, ``SIO``, ``IC``
-    whose structural conditions hold.
+    Accepts an :class:`IncoherentChannel` or a sequence of dense square
+    matrices.  Checks the completeness relation (Frobenius norm below
+    ``1e-9``) and the column sparsity, then reports the first of ``IU``,
+    ``PIO``, ``SIO``, ``IC`` whose structural conditions hold.
 
     Raises
     ------
@@ -205,10 +130,10 @@ class IncoherentChannel:
     tag (a permutation unitary may be tagged SIO, but a merely-IC Kraus
     set may not).
 
-    The checked operators are stored once, as the read-only dense
-    ``(n_kraus, dim, dim)`` array ``matrices``; ``kraus`` gives the same
-    operators as sparse :class:`KrausOperator` objects.  Channels
-    compare by identity.
+    ``kraus`` is a sequence of dense square matrices (or one
+    ``(n_kraus, dim, dim)`` array).  The checked operators are stored
+    once, as the read-only dense array ``matrices``.  Channels compare
+    by identity.
     """
 
     class_tag: str
@@ -223,10 +148,6 @@ class IncoherentChannel:
         matrices.setflags(write=False)
         object.__setattr__(self, "class_tag", class_tag)
         object.__setattr__(self, "matrices", matrices)
-
-    @property
-    def kraus(self) -> tuple:
-        return tuple(KrausOperator.from_matrix(m) for m in self.matrices)
 
     @property
     def dim(self) -> int:
@@ -287,36 +208,6 @@ def apply_to_density(channel: IncoherentChannel, rho):
         raise ValueError("channel and state dimensions differ")
     out = _apply_kraus(channel.matrices[None], mat[None])[0]
     return bloch_from_density(out) if as_bloch else out
-
-
-def complete_to_povm(element) -> list:
-    """Complete one measurement element to a full incoherent POVM.
-
-    Given ``0 <= E <= I``, returns ``[E, E_1, ..., E_k]`` where the
-    added elements are the rank-one spectral pieces of ``I - E``; each
-    added element comes from a single-target Kraus operator, so the
-    completion is always incoherent.  The returned elements sum to the
-    identity within ``1e-9``.
-    """
-    mat = np.asarray(element, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError("expected a square matrix")
-    if np.max(np.abs(mat - mat.conj().T)) > 1e-9:
-        raise ValueError("element is not Hermitian")
-    eigs = np.linalg.eigvalsh(mat)
-    if eigs.min() < -1e-9 or eigs.max() > 1.0 + 1e-9:
-        raise ValueError("element is not between 0 and the identity")
-    rest = np.eye(mat.shape[0]) - mat
-    vals, vecs = np.linalg.eigh(rest)
-    out = [mat]
-    for k in range(vals.size):
-        if vals[k] > BRANCH_PRUNE:
-            v = vecs[:, k]
-            out.append(vals[k] * np.outer(v, v.conj()))
-    total = sum(out)
-    if np.linalg.norm(total - np.eye(mat.shape[0])) > COMPLETENESS_TOL:
-        raise ValueError("POVM completion failed the identity check")
-    return out
 
 
 def _random_phases(rng, shape) -> np.ndarray:

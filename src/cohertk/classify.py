@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import (IncoherentChannel, KrausOperator, LocalChannelProduct,
-                       _apply_on_axis)
+from .channels import IncoherentChannel, LocalChannelProduct, _apply_on_axis
 from .states import AMP_TOL, PureState
 
 __all__ = [
@@ -474,25 +473,20 @@ def canonical_state(alpha: float, beta: complex) -> PureState:
     return PureState((2, 2), [alpha, alpha, alpha, beta])
 
 
-def _first_kraus_operators(ops):
-    if isinstance(ops, LocalChannelProduct):
-        return [ch.matrices[0] for ch in ops.channels]
-    return [op.matrix() if isinstance(op, KrausOperator)
-            else np.asarray(op, dtype=complex) for op in ops]
-
-
 def verify_slicc_witness(psi: PureState, phi: PureState, ops) -> bool:
     """Check that a local operator tuple stochastically maps psi onto
     phi and back.
 
     ``ops`` may be a :class:`LocalChannelProduct` (outcome-0 operators
-    are taken as the witness) or a plain sequence of per-party matrices
-    or Kraus operators.  Each operator must be an invertible
-    permutation-sparse matrix; the forward image must be proportional
-    to ``phi`` and the inverse image of ``phi`` proportional to ``psi``
-    within global-phase-adjusted fidelity ``1 - 1e-9``.
+    are taken as the witness) or a plain sequence of dense per-party
+    matrices.  Each operator must be an invertible permutation-sparse
+    matrix; the forward image must be proportional to ``phi`` and the
+    inverse image of ``phi`` proportional to ``psi`` within
+    global-phase-adjusted fidelity ``1 - 1e-9``.
     """
-    mats = _first_kraus_operators(ops)
+    mats = ([ch.matrices[0] for ch in ops.channels]
+            if isinstance(ops, LocalChannelProduct)
+            else [np.asarray(op, dtype=complex) for op in ops])
     if len(mats) != psi.n_parties or psi.dims != phi.dims:
         raise ValueError("operator count does not match the party structure")
     forward, backward = psi.tensor()[None], phi.tensor()[None]

@@ -397,7 +397,11 @@ def exact_polytope_volume(spectrum) -> float:
     0 < k < d, so the polytope is full-dimensional: the uniform point plus
     a small strictly decreasing zero-sum vector is interior.
     """
-    lam = [Fraction(x) for x in np.asarray(spectrum, dtype=float)]
+    arr = np.asarray(spectrum, dtype=float)
+    if arr.ndim != 1 or not arr.size or not np.isfinite(arr).all():
+        raise ValueError(
+            "spectrum must be a nonempty flat list of finite numbers")
+    lam = [Fraction(x) for x in arr]
     if len(lam) > 8:
         raise ValueError("exact volumes are implemented for lengths <= 8")
     if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)) or lam[-1] < 0:

@@ -28,13 +28,14 @@ digits; emitted objects re-parse equal to the originals within 1e-12.
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import json
 import math
 
 import numpy as np
 
-from .channels import IncoherentChannel, KrausOperator
+from .channels import IncoherentChannel
 from .states import PureState, QubitBloch
 
 __all__ = [
@@ -164,26 +165,56 @@ def subject_from_dict(obj: dict):
 
 
 def channel_to_dict(channel: IncoherentChannel) -> dict:
-    return {
-        "class": channel.class_tag,
-        "dim": channel.dim,
-        "kraus": [
-            {"entries": [[target, source, coeff.real, coeff.imag]
-                         for target, source, coeff in op.entries]}
-            for op in channel.kraus
-        ],
-    }
+    """Each Kraus operator as its nonzero entries, one per source column,
+    in source order."""
+    kraus = []
+    for mat in channel.matrices:
+        sources, targets = np.nonzero(mat.T)
+        kraus.append({"entries": [
+            [target, source, coeff.real, coeff.imag] for target, source, coeff
+            in zip(targets.tolist(), sources.tolist(),
+                   mat[targets, sources].tolist())]})
+    return {"class": channel.class_tag, "dim": channel.dim, "kraus": kraus}
+
+
+def _dense_kraus(dim: int, ops: list) -> np.ndarray:
+    """The ``(n_kraus, dim, dim)`` stack of per-operator lists of
+    ``(target, source, coeff)`` entries.  Indices must lie in
+    ``0..dim-1``, coefficients be finite, and no operator may name a
+    source column twice.  Completeness needs a nonzero entry in every
+    column, so ``dim`` is checked against the nonzero count before the
+    stack is allocated."""
+    if dim < 1:
+        raise ValueError(f"dim must be positive, got {dim}")
+    nonzero = 0
+    for entries in ops:
+        sources = set()
+        for target, source, coeff in entries:
+            if not (0 <= target < dim and 0 <= source < dim):
+                raise ValueError(f"entry ({target},{source}) outside dim {dim}")
+            if not cmath.isfinite(coeff):
+                raise ValueError(f"entry ({target},{source}) is not finite")
+            if source in sources:
+                raise ValueError(f"two entries share source column {source}")
+            sources.add(source)
+            nonzero += coeff != 0
+    if nonzero < dim:
+        raise ValueError(f"dim {dim} needs a nonzero entry in every column, "
+                         f"got {nonzero} nonzero entries")
+    kraus = np.zeros((len(ops), dim, dim), dtype=complex)
+    for n, entries in enumerate(ops):
+        for target, source, coeff in entries:
+            kraus[n, target, source] = coeff
+    return kraus
 
 
 def channel_from_dict(obj: dict) -> IncoherentChannel:
     try:
         class_tag = str(obj["class"])
         dim = int(obj["dim"])
-        ops = []
-        for item in obj["kraus"]:
-            entries = [(int(t), int(s), complex(float(re), float(im)))
-                       for t, s, re, im in item["entries"]]
-            ops.append(KrausOperator(dim, entries))
+        kraus = _dense_kraus(dim, [
+            [(int(t), int(s), complex(float(re), float(im)))
+             for t, s, re, im in item["entries"]] for item in obj["kraus"]])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed channel object: {exc}") from exc
-    return IncoherentChannel(class_tag, ops)
+    return IncoherentChannel(class_tag, kraus)

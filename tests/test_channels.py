@@ -1,4 +1,4 @@
-"""Tests for sparse Kraus operators, channel classes, and application."""
+"""Tests for channel classes, validation, and application."""
 
 import functools
 import itertools
@@ -12,11 +12,9 @@ from numpy.testing import assert_allclose
 from cohertk.channels import (
     _CLASS_ORDER,
     IncoherentChannel,
-    KrausOperator,
     LocalChannelProduct,
     apply_to_density,
     apply_to_pure,
-    complete_to_povm,
     local_product_apply,
     random_channel,
     _apply_kraus,
@@ -31,85 +29,48 @@ R2 = 1.0 / math.sqrt(2.0)
 
 def check_completeness(kraus, atol=1e-9):
     """sum K^dag K must be the identity."""
-    dim = kraus[0].dim
-    total = np.zeros((dim, dim), dtype=complex)
-    for op in kraus:
-        mat = op.matrix()
-        total += mat.conj().T @ mat
-    assert_allclose(total, np.eye(dim), atol=atol)
+    total = sum(mat.conj().T @ mat for mat in kraus)
+    assert_allclose(total, np.eye(len(total)), atol=atol)
 
 
 def ic_pair():
     """A complete two-operator set that is IC but not SIO."""
-    k1 = KrausOperator.from_matrix([[R2, R2], [0, 0]])
-    k2 = KrausOperator.from_matrix([[0, 0], [R2, -R2]])
-    return [k1, k2]
-
-
-def test_kraus_operator_entries_sorted_and_validated():
-    op = KrausOperator(3, [(2, 1, 0.5), (0, 0, 0.5), (1, 2, 0.5)])
-    assert [e[1] for e in op.entries] == [0, 1, 2]
-    with pytest.raises(ValueError, match="share source column"):
-        KrausOperator(2, [(0, 0, 0.5), (1, 0, 0.5)])
-    with pytest.raises(ValueError, match="outside dim"):
-        KrausOperator(2, [(2, 0, 1.0)])
-    with pytest.raises(ValueError, match="positive"):
-        KrausOperator(0, [])
-    # explicit zeros are dropped rather than stored
-    op = KrausOperator(2, [(0, 0, 1.0), (1, 1, 0.0)])
-    assert len(op.entries) == 1
-
-
-def test_kraus_from_matrix_enforces_column_sparsity():
-    with pytest.raises(ValueError, match="column 0 has 2"):
-        KrausOperator.from_matrix([[R2, 0], [R2, 0]])
-    op = KrausOperator.from_matrix([[1e-12, 1.0], [0.0, 0.0]], tol=1e-9)
-    assert op.entries == ((0, 1, 1.0),)
+    return [np.array([[R2, R2], [0, 0]]), np.array([[0, 0], [R2, -R2]])]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
                                  complex(0.5, math.nan)])
-def test_kraus_operator_rejects_non_finite_entries(bad):
-    # abs(nan) > tol is false, so a NaN used to be dropped as a zero
-    with pytest.raises(ValueError, match="non-finite"):
-        KrausOperator.from_matrix([[bad, 0], [0, 1]])
-    with pytest.raises(ValueError, match="not finite"):
-        KrausOperator(2, [(0, 0, bad)])
-
-
-def test_kraus_matrix_round_trip():
-    op = KrausOperator(3, [(1, 0, 0.3 + 0.4j), (1, 1, 0.5), (0, 2, -0.2j)])
-    back = KrausOperator.from_matrix(op.matrix())
-    assert back.entries == op.entries
+def test_incoherent_channel_rejects_non_finite_entries(bad):
+    # a NaN or infinite entry makes the completeness defect non-finite
+    with pytest.raises(ValueError, match="completeness"):
+        IncoherentChannel("IC", [[[bad, 0], [0, 1]]])
 
 
 def test_validate_class_ladder():
-    phase_swap = [KrausOperator(2, [(1, 0, 1j), (0, 1, 1.0)])]
+    phase_swap = [[[0, 1.0], [1j, 0]]]
     assert validate_class(phase_swap) == "IU"
 
-    projectors = [KrausOperator(2, [(0, 0, 1.0)]),
-                  KrausOperator(2, [(1, 1, -1j)])]
+    projectors = [np.diag([1.0, 0]), np.diag([0, -1j])]
     assert validate_class(projectors) == "PIO"
 
-    damped = [KrausOperator.from_matrix([[0.8, 0], [0, 0.6]]),
-              KrausOperator.from_matrix([[0, 0.8], [0.6, 0]])]
+    damped = [[[0.8, 0], [0, 0.6]], [[0, 0.8], [0.6, 0]]]
     assert validate_class(damped) == "SIO"
 
     assert validate_class(ic_pair()) == "IC"
-    # dense matrices are accepted directly
-    assert validate_class([op.matrix() for op in ic_pair()]) == "IC"
+    # one (n_kraus, dim, dim) array is accepted too
+    assert validate_class(np.stack(ic_pair())) == "IC"
 
 
 def test_validate_class_rejects_bad_sets():
     with pytest.raises(ValueError, match="completeness"):
-        validate_class([KrausOperator(2, [(0, 0, 0.5), (1, 1, 0.5)])])
+        validate_class([np.diag([0.5, 0.5])])
     hadamard = np.array([[R2, R2], [R2, -R2]])
     with pytest.raises(ValueError, match="not an incoherent"):
         validate_class([hadamard])
 
 
 def test_incoherent_channel_tag_consistency():
-    swap = KrausOperator(2, [(1, 0, 1.0), (0, 1, 1.0)])
+    swap = [[0, 1.0], [1.0, 0]]
     # a stronger structure may carry a weaker tag
     channel = IncoherentChannel("SIO", [swap])
     assert channel.class_tag == "SIO"
@@ -152,39 +113,18 @@ def test_apply_to_density_matches_dense_sum():
     vec = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     vec /= np.linalg.norm(vec)
     rho = np.outer(vec, vec.conj())
-    dense = sum(op.matrix() @ rho @ op.matrix().conj().T
-                for op in channel.kraus)
+    dense = sum(k @ rho @ k.conj().T for k in channel.matrices)
     assert_allclose(apply_to_density(channel, rho), dense, atol=1e-12)
     assert_allclose(np.trace(dense).real, 1.0, atol=1e-10)
 
 
 def test_apply_to_density_bloch_round_trip():
-    dephase = IncoherentChannel("SIO", [
-        KrausOperator.from_matrix(np.eye(2) * R2),
-        KrausOperator.from_matrix(np.diag([R2, -R2])),
-    ])
+    dephase = IncoherentChannel("SIO", [np.eye(2) * R2, np.diag([R2, -R2])])
     out = apply_to_density(dephase, QubitBloch(0.6, 0.2, 0.3))
     assert isinstance(out, QubitBloch)
     assert_allclose(out.as_tuple(), (0.0, 0.0, 0.3), atol=1e-12)
     with pytest.raises(ValueError, match="dimensions differ"):
         apply_to_density(dephase, np.eye(3) / 3)
-
-
-def test_complete_to_povm():
-    elements = complete_to_povm(np.diag([0.3, 0.7]))
-    total = sum(elements)
-    assert_allclose(total, np.eye(2), atol=1e-9)
-
-    skew = 0.5 * np.array([[0.5, 0.5], [0.5, 0.5]])
-    elements = complete_to_povm(skew)
-    assert_allclose(sum(elements), np.eye(2), atol=1e-9)
-    for element in elements:
-        assert np.linalg.eigvalsh(element).min() > -1e-12
-
-    with pytest.raises(ValueError, match="Hermitian"):
-        complete_to_povm([[0.5, 0.2], [0.3, 0.5]])
-    with pytest.raises(ValueError, match="between 0 and the identity"):
-        complete_to_povm(np.diag([1.5, 0.5]))
 
 
 def test_random_channel_classes_and_determinism():
@@ -194,10 +134,9 @@ def test_random_channel_classes_and_determinism():
         again = random_channel(tag, dim, n_kraus, seed=99)
         assert channel.class_tag == tag
         assert validate_class(channel) == tag
-        assert len(channel.kraus) == n_kraus
-        check_completeness(channel.kraus)
-        assert all(a.entries == b.entries
-                   for a, b in zip(channel.kraus, again.kraus))
+        assert channel.matrices.shape == (n_kraus, dim, dim)
+        check_completeness(channel.matrices)
+        assert np.array_equal(channel.matrices, again.matrices)
 
     with pytest.raises(ValueError, match="exactly one"):
         random_channel("IU", 3, 2, seed=0)
@@ -213,7 +152,7 @@ def _expected_branches(product, state):
     out = []
     for labels in itertools.product(*[range(len(ch.matrices))
                                       for ch in product.channels]):
-        mat = functools.reduce(np.kron, [ch.kraus[i].matrix() for ch, i
+        mat = functools.reduce(np.kron, [ch.matrices[i] for ch, i
                                          in zip(product.channels, labels)])
         image = mat @ state.amps
         prob = np.vdot(image, image).real
@@ -253,30 +192,28 @@ def test_local_product_apply_matches_kron():
         local_product_apply(product, PureState((2,), [1, 0]))
 
 
-def test_dense_and_sparse_kraus_inputs_build_the_same_channel():
+def test_list_and_array_kraus_inputs_build_the_same_channel():
     mats = random_channel("IC", 4, 3, seed=5).matrices
-    sparse = [KrausOperator(4, [(t, s, m[t, s]) for t, s in zip(*np.nonzero(m))])
-              for m in mats]
-    from_dense = IncoherentChannel("IC", list(mats))
-    from_sparse = IncoherentChannel("IC", sparse)
-    assert from_dense.kraus == from_sparse.kraus == tuple(sparse)
+    from_array = IncoherentChannel("IC", mats)
+    from_lists = IncoherentChannel("IC", [m.tolist() for m in mats])
+    assert np.array_equal(from_array.matrices, from_lists.matrices)
     rng = np.random.default_rng(6)
     vec = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     rho = np.outer(vec, vec.conj()) / np.vdot(vec, vec).real
-    assert np.array_equal(apply_to_density(from_dense, rho),
-                          apply_to_density(from_sparse, rho))
+    assert np.array_equal(apply_to_density(from_array, rho),
+                          apply_to_density(from_lists, rho))
     state = PureState((2, 2), vec / np.linalg.norm(vec))
-    for (p, a), (q, b) in zip(apply_to_pure(from_dense, state),
-                              apply_to_pure(from_sparse, state),
+    for (p, a), (q, b) in zip(apply_to_pure(from_array, state),
+                              apply_to_pure(from_lists, state),
                               strict=True):
         assert p == q and np.array_equal(a.amps, b.amps)
     # the stored stack is a read-only copy, and channels compare by identity
-    assert not from_dense.matrices.flags.writeable
+    assert not from_array.matrices.flags.writeable
     source = mats.copy()
     copied = IncoherentChannel("IC", source)
     source[:] = 0.0
     assert np.array_equal(copied.matrices, mats)
-    assert from_dense == from_dense and from_dense != from_sparse
+    assert from_array == from_array and from_array != from_lists
 
 
 def test_incoherent_channel_keeps_its_input_checks():
@@ -300,7 +237,7 @@ def test_random_ic_single_operator_is_a_phased_permutation():
         channel = random_channel("IC", 8, 1, seed)
         assert channel.class_tag == "IC"
         assert validate_class(channel) == "IU"
-        check_completeness(channel.kraus)
+        check_completeness(channel.matrices)
 
 
 def _random_densities(rng, count, dim):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from cohertk.channels import KrausOperator, local_product_apply
+from cohertk.channels import local_product_apply
 from cohertk.classify import (
     FIDELITY_TOL,
     LiuWitness,
@@ -452,13 +452,12 @@ def test_verify_slicc_witness_accepts_every_operator_form():
         psi = random_full_support_state(rng, (2, 2))
         for template in witness_templates_r4(psi):
             dense = [ch.matrices[0] for ch in template.product.channels]
-            sparse = [KrausOperator.from_matrix(m) for m in dense]
             right = canonical_state(template.alpha, template.beta)
             wrong = canonical_state(*_canonical_pair(template.invariant * 1.5))
             for target, verdict in ((right, True), (wrong, False)):
                 assert [verify_slicc_witness(psi, target, ops)
-                        for ops in (template.product, dense, sparse)
-                        ] == [verdict] * 3
+                        for ops in (template.product, dense)
+                        ] == [verdict] * 2
 
 
 def test_witness_instruments_have_no_spurious_completion():

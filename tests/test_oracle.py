@@ -67,6 +67,9 @@ def test_exact_polytope_volume_input_validation():
         exact_polytope_volume([0.4, 0.6])
     with pytest.raises(ValueError, match="sum to 1"):
         exact_polytope_volume([0.5, 0.3])
+    for bad in ([], [[0.5, 0.5]], [math.inf, 0.0], [math.nan, 1.0]):
+        with pytest.raises(ValueError, match="nonempty flat list"):
+            exact_polytope_volume(bad)
 
 
 @pytest.mark.parametrize("sixteenths", [

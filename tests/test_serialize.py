@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -120,9 +121,11 @@ def check_channel_round_trip(channel):
     parsed = channel_from_dict(json.loads(dumps(channel_to_dict(channel))))
     assert parsed.class_tag == channel.class_tag
     assert parsed.dim == channel.dim
-    assert len(parsed.kraus) == len(channel.kraus)
-    for before, after in zip(channel.kraus, parsed.kraus):
-        assert_allclose(after.matrix(), before.matrix(), atol=1e-12)
+    assert parsed.matrices.shape == channel.matrices.shape
+    assert_allclose(parsed.matrices, channel.matrices, rtol=0, atol=1e-12)
+    # without the 12-digit rounding the stack comes back exactly
+    assert np.array_equal(
+        channel_from_dict(channel_to_dict(channel)).matrices, channel.matrices)
 
 
 def test_channel_round_trips_preserve_kraus_matrices():
@@ -145,3 +148,87 @@ def test_channel_from_dict_rejects_malformed_objects():
     with pytest.raises(ValueError, match="malformed channel"):
         channel_from_dict({"class": "SIO", "dim": 2,
                            "kraus": [{"entries": [["a", 0, 1.0, 0.0]]}]})
+
+
+# the JSON bytes of one seeded channel per class
+PINNED_CHANNELS = [
+    (("IU", 2, 1, 0), [
+        [[1, 0, 0.967043856515, 0.254609857579],
+         [0, 1, 0.994612827612, 0.103659650535]]]),
+    (("PIO", 3, 2, 1), [
+        [[0, 0, -0.951842316693, -0.306588003928]],
+        [[2, 1, 0.985045400394, 0.172294977186],
+         [0, 2, 0.0220717203355, -0.999756389908]]]),
+    (("SIO", 2, 2, 2), [
+        [[0, 0, 0.810230199312, 0.126601345989],
+         [1, 1, -0.245522779178, 0.737548353228]],
+        [[1, 0, 0.515104706158, -0.249331636602],
+         [0, 1, 0.583816260557, -0.234306562999]]]),
+    (("IC", 2, 2, 3), [
+        [[0, 0, 0.430466661191, 0.560979904813],
+         [0, 1, 0.632083517354, -0.316970703835]],
+        [[0, 0, 0.430466661191, 0.560979904813],
+         [0, 1, -0.632083517354, 0.316970703835]]]),
+]
+
+
+@pytest.mark.parametrize("args, entries", PINNED_CHANNELS)
+def test_channel_json_bytes_are_pinned(args, entries):
+    expected = {"class": args[0], "dim": args[1],
+                "kraus": [{"entries": op} for op in entries]}
+    text = dumps(channel_to_dict(random_channel(*args)))
+    assert text == json.dumps(expected, indent=2) + "\n"
+
+
+def _one_operator(dim, *entries):
+    return {"class": "IC", "dim": dim,
+            "kraus": [{"entries": [list(e) for e in entries]}]}
+
+
+@pytest.mark.parametrize("obj, reason", [
+    (_one_operator(2, (-1, 0, 1, 0), (1, 1, 1, 0)), "entry (-1,0) outside dim 2"),
+    (_one_operator(2, (0, -1, 1, 0), (1, 1, 1, 0)), "entry (0,-1) outside dim 2"),
+    (_one_operator(2, (2, 0, 1, 0), (1, 1, 1, 0)), "entry (2,0) outside dim 2"),
+    (_one_operator(2, (0, 2, 1, 0), (1, 1, 1, 0)), "entry (0,2) outside dim 2"),
+    (_one_operator(2, (0, 0, math.nan, 0), (1, 1, 1, 0)), "entry (0,0) is not finite"),
+    (_one_operator(2, (0, 0, 1, math.inf), (1, 1, 1, 0)), "entry (0,0) is not finite"),
+    (_one_operator(2, (1, 1, -math.inf, 0)), "entry (1,1) is not finite"),
+    (_one_operator(0), "dim must be positive, got 0"),
+    (_one_operator(-1), "dim must be positive, got -1"),
+])
+def test_channel_from_dict_rejects_bad_entries(obj, reason):
+    with pytest.raises(ValueError,
+                       match=re.escape(f"malformed channel object: {reason}")):
+        channel_from_dict(obj)
+
+
+@pytest.mark.parametrize("column", [
+    [(0, 0, 0.5, 0), (1, 0, 0.5, 0)],
+    [(0, 0, 0, 0), (0, 0, 1, 0)],
+    [(0, 0, 1, 0), (0, 0, 0, 0)],
+    [(0, 0, 0, 0), (1, 0, 0, 0)],
+])
+def test_channel_from_dict_rejects_a_source_column_named_twice(column):
+    # whatever the values and their order, a dense stack would keep only
+    # the last entry of the column
+    with pytest.raises(ValueError, match="malformed channel object: two "
+                                         "entries share source column 0"):
+        channel_from_dict(_one_operator(2, *column, (1, 1, 1, 0)))
+
+
+def test_channel_from_dict_needs_a_nonzero_entry_per_column():
+    # a completeness check would fail anyway, but only after allocating
+    # the (n_kraus, dim, dim) stack that dim asks for
+    with pytest.raises(ValueError, match="dim 5 needs a nonzero entry in "
+                                         "every column, got 2"):
+        channel_from_dict(_one_operator(5, (0, 0, 1, 0), (1, 1, 1, 0)))
+    with pytest.raises(ValueError, match="got 1 nonzero"):
+        channel_from_dict(_one_operator(2, (0, 0, 1, 0), (1, 1, 0, 0)))
+    with pytest.raises(ValueError, match="got 0 nonzero"):
+        channel_from_dict({"class": "IC", "dim": 2, "kraus": []})
+    # a zero operator is still a member of the set
+    swap = {"class": "SIO", "dim": 2, "kraus": [
+        {"entries": [[1, 0, 1.0, 0.0], [0, 1, 1.0, 0.0]]}, {"entries": []}]}
+    channel = channel_from_dict(swap)
+    assert channel.matrices.shape == (2, 2, 2)
+    assert channel_to_dict(channel) == swap
