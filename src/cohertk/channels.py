@@ -22,7 +22,6 @@ returns the strongest label that applies.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -66,32 +65,37 @@ def _kraus_array(ops) -> np.ndarray:
     return np.stack(mats)
 
 
-def _check_kraus(kraus, class_tag: str = "IC") -> np.ndarray:
+def _check_kraus(kraus, class_tag: str = "IC", counts=None) -> np.ndarray:
     """Strongest class (an index into ``_CLASSES``) of each Kraus set in
-    a ``(count, n_kraus, dim, dim)`` stack.  Raises ``ValueError`` unless
-    every set is complete (Frobenius defect below ``1e-9``), column
-    sparse, and at least as strong as ``class_tag``."""
+    a ``(count, n_kraus, dim, dim)`` stack, zero past ``counts[c]``
+    operators in set ``c``.  Raises ``ValueError`` unless every set is
+    complete (Frobenius defect below ``1e-9``), column sparse, and at
+    least as strong as ``class_tag``."""
     n_kraus, dim = kraus.shape[1], kraus.shape[-1]
+    counts = np.reshape(n_kraus if counts is None else counts, (-1, 1))
     hot = kraus != 0
-    if (hot.sum(axis=2) > 1).any():
+    column = hot.sum(axis=2)
+    if (column > 1).any():
         raise ValueError("a column has two nonzero entries: "
                          "not an incoherent operator")
-    gram = np.einsum("cnij,cnik->cjk", kraus.conj(), kraus)
+    rows = kraus.reshape(len(kraus), -1, dim)  # gram: sum_n K_n^dag K_n
+    with np.errstate(invalid="ignore", over="ignore"):  # inf: defect nan
+        gram = rows.conj().transpose(0, 2, 1) @ rows
     defect = np.linalg.norm(gram - np.eye(dim), axis=(1, 2))
     complete = defect < COMPLETENESS_TOL
     if not complete.all():
         raise ValueError("completeness violated: |sum K^dag K - I| = "
                          f"{defect[~complete][0]:.3g}")
     # SIO: at most one entry per row of every operator.  PIO: also
-    # unimodular entries, no empty operator, and every source covered by
-    # exactly one operator.  IU: a PIO set with a single operator.
+    # unimodular entries, no empty operator (but padding), and every
+    # source covered by exactly one operator.  IU: PIO with one operator.
     sio = (hot.sum(axis=3) <= 1).all(axis=(1, 2))
     unimodular = (~hot | (np.abs(np.abs(kraus) - 1.0) <= COMPLETENESS_TOL)
                   ).all(axis=(1, 2, 3))
-    nonempty = hot.any(axis=(2, 3)).all(axis=1)
-    partition = (hot.sum(axis=(1, 2)) == 1).all(axis=1)
+    nonempty = (column.any(axis=2) | (np.arange(n_kraus) >= counts)).all(1)
+    partition = (column.sum(axis=1) == 1).all(axis=1)
     pio = sio & unimodular & nonempty & partition
-    strongest = np.where(pio, 0 if n_kraus == 1 else 1, np.where(sio, 2, 3))
+    strongest = np.where(pio, counts[:, 0] != 1, np.where(sio, 2, 3))
     weaker = strongest > _CLASS_ORDER[class_tag]
     if weaker.any():
         raise ValueError(
@@ -214,15 +218,21 @@ def _random_phases(rng, shape) -> np.ndarray:
     return np.exp(2j * np.pi * rng.random(shape))
 
 
-def _random_unit_vectors(rng, shape, n: int) -> np.ndarray:
-    """Uniform complex unit vectors of length ``n``, stacked to ``shape``."""
+def _random_unit_vectors(rng, shape, n: int, live=True) -> np.ndarray:
+    """Uniform complex unit vectors of length ``n``, stacked to ``shape``
+    (or of the entries where ``live`` holds, zero elsewhere)."""
     v = rng.standard_normal(shape + (n,)) + 1j * rng.standard_normal(shape + (n,))
+    v = v * live
     return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
-def _random_permutations(rng, shape, n: int) -> np.ndarray:
-    """Uniform permutations of ``range(n)``, stacked to ``shape``."""
-    return np.argsort(rng.random(shape + (n,)), axis=-1)
+def _random_permutations(rng, shape, n: int, size=None) -> np.ndarray:
+    """Uniform permutations of ``range(n)``, stacked to ``shape``; with
+    ``size`` (broadcast to ``shape + (1,)``), of ``range(size)`` first."""
+    keys = rng.random(shape + (n,))
+    if size is not None:
+        keys = np.where(np.arange(n) < size, keys, np.inf)
+    return np.argsort(keys, axis=-1)
 
 
 def _random_maps(rng, count: int, n_sources: int, n_targets: int,
@@ -252,60 +262,77 @@ def _rank_within(labels) -> np.ndarray:
     return np.tril(same, -1).sum(axis=2)
 
 
-def _random_kraus(class_tag: str, dim: int, n_kraus: int, count: int,
+def _random_kraus(class_tag: str, dim: int, n_kraus, count: int,
                   rng) -> np.ndarray:
-    """``count`` random Kraus sets of one class, as a
-    ``(count, n_kraus, dim, dim)`` array (see :func:`random_channel`).
+    """``count`` random Kraus sets of one class, set ``c`` with
+    ``n_kraus[c]`` operators (or ``n_kraus`` each), as one zero-padded
+    ``(count, max_k, dim, dim)`` array (see :func:`random_channel`).
 
     IU and PIO send each cell of a random partition of the sources to
     distinct targets; SIO gives every operator its own permutation.  IC
     fills groups of at most ``dim`` operators: inside a group, sources
     that collide on one target get distinct roots of unity, which keeps
     ``sum K^dag K`` exactly diagonal (the first group of two or more
-    operators always holds a collision).
+    operators always holds a collision).  Draws are made at ``max_k``
+    and masked per set, and maps once per number of cells or per cap on
+    a collision, so equal counts draw exactly as an int count does.
     """
     class_tag = str(class_tag).upper()
     if class_tag not in _CLASS_ORDER:
         raise ValueError(f"unknown class tag {class_tag!r}")
-    if dim < 2 or n_kraus < 1:
+    counts = np.broadcast_to(n_kraus, (count,))
+    max_k = int(counts.max(initial=1))
+    if dim < 2 or (counts < 1).any():
         raise ValueError("need dim >= 2 and n_kraus >= 1")
-    if class_tag == "IU" and n_kraus != 1:
+    if class_tag == "IU" and max_k != 1:
         raise ValueError("an IU channel has exactly one Kraus operator")
-    if class_tag == "PIO" and n_kraus > dim:
+    if class_tag == "PIO" and max_k > dim:
         raise ValueError("a PIO channel needs n_kraus <= dim "
                          "(one operator per nonempty partition cell)")
-    kraus = np.zeros((count, n_kraus, dim, dim), dtype=complex)
+    kraus = np.zeros((count, max_k, dim, dim), dtype=complex)
     chan = np.arange(count)[:, None]
     sources = np.arange(dim)
 
     if class_tag in ("IU", "PIO"):
-        cells = _random_maps(rng, count, dim, n_kraus, 1, dim)
-        perms = _random_permutations(rng, (count, n_kraus), dim)
+        cells = np.empty((count, dim), dtype=np.intp)
+        for k in range(1, max_k + 1):  # a partition into k cells
+            rows = counts == k
+            cells[rows] = _random_maps(rng, np.count_nonzero(rows), dim, k,
+                                       1, dim)
+        perms = _random_permutations(rng, (count, max_k), dim)
         targets = perms[chan, cells, _rank_within(cells)]
         kraus[chan, cells, targets, sources] = _random_phases(rng, (count, dim))
         return kraus
 
+    live = np.arange(max_k) < counts[:, None]
     if class_tag == "SIO":
-        perms = _random_permutations(rng, (count, n_kraus), dim)
-        weights = _random_unit_vectors(rng, (count, dim), n_kraus)
-        kraus[chan[:, :, None], np.arange(n_kraus)[:, None], perms,
+        perms = _random_permutations(rng, (count, max_k), dim)
+        weights = _random_unit_vectors(rng, (count, dim), max_k, live[:, None])
+        kraus[chan[:, :, None], np.arange(max_k)[:, None], perms,
               sources] = weights.transpose(0, 2, 1)
         return kraus
 
-    starts = range(0, n_kraus, dim)
-    split = _random_unit_vectors(rng, (count, dim), len(starts))
+    starts = range(0, max_k, dim)
+    split = _random_unit_vectors(rng, (count, dim), len(starts),
+                                 live[:, None, ::dim])
     for g, start in enumerate(starts):
-        m = min(dim, n_kraus - start)
-        targets = _random_maps(rng, count, dim, dim, 0, m,
-                               collide=(g == 0 and m >= 2))
+        sets = np.flatnonzero(counts > start)  # with a group g, of size m
+        m = np.minimum(dim, counts[sets] - start)[:, None, None]
+        targets = np.empty((sets.size, dim), dtype=np.intp)
+        for size in np.unique(m):  # at most size sources on one target
+            rows = m[:, 0, 0] == size
+            targets[rows] = _random_maps(rng, np.count_nonzero(rows), dim,
+                                         dim, 0, size,
+                                         collide=(g == 0 and size >= 2))
         # a distinct residue per source within each collision class
-        residues = _random_permutations(rng, (count, dim), m)[
-            chan, targets, _rank_within(targets)]
-        coeffs = split[:, :, g] * _random_phases(rng, (count, dim)) / math.sqrt(m)
-        branch = np.arange(m)[:, None]
+        residues = _random_permutations(rng, (sets.size, dim), m.max(), m)[
+            np.arange(sets.size)[:, None], targets, _rank_within(targets)]
+        coeffs = (split[sets, :, g] * _random_phases(rng, (sets.size, dim))
+                  / np.sqrt(m[:, 0]))
+        branch = np.arange(m.max())[:, None]
         roots = np.exp(2j * np.pi * (branch * residues[:, None, :] % m) / m)
-        kraus[chan[:, :, None], start + branch, targets[:, None, :],
-              sources] = coeffs[:, None, :] * roots
+        kraus[sets[:, None, None], start + branch, targets[:, None, :],
+              sources] = np.where(branch < m, coeffs[:, None, :] * roots, 0)
     return kraus
 
 

@@ -21,6 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .channels import (_apply_kraus, _check_kraus, _random_kraus,
+                       _random_permutations, _random_unit_vectors,
                        apply_to_density, apply_to_pure, random_channel)
 from .feasibility import _QUBIT_FAMILY, pio_feasible_mask, sio_feasible_mask
 from .monotones import (_QUBIT_FORM_NAMES, _permutation_sums, _qubit_monotone,
@@ -523,19 +524,17 @@ def _max_and_count(blocks, threshold):
 
 def _qubit_trials(monotone: str, operation_class: str, trials: int, rng):
     """Increases over ``trials`` random (Bloch vector, channel) trials,
-    one array per block, with one checked Kraus stack per Kraus count in
-    each block; the last trial is the audit trial."""
+    one array per block, with one checked Kraus stack per block (every
+    Kraus count, zero padded to the largest); the last trial is the
+    audit trial."""
     lo, hi = _KRAUS_RANGE[operation_class]
     for start in range(0, trials - 1, _TRIAL_BLOCK):
-        block = np.empty(min(_TRIAL_BLOCK, trials - 1 - start))
-        bloch = _ball_points(rng, block.size)
-        n_kraus = rng.integers(lo, hi + 1, size=block.size)
-        for k in np.unique(n_kraus):
-            idx = np.flatnonzero(n_kraus == k)
-            kraus = _random_kraus(operation_class, 2, int(k), idx.size, rng)
-            _check_kraus(kraus, operation_class)
-            block[idx] = _qubit_increases(monotone, kraus, bloch[idx])
-        yield block
+        size = min(_TRIAL_BLOCK, trials - 1 - start)
+        bloch = _ball_points(rng, size)
+        n_kraus = rng.integers(lo, hi + 1, size=size)
+        kraus = _random_kraus(operation_class, 2, n_kraus, size, rng)
+        _check_kraus(kraus, operation_class, n_kraus)
+        yield _qubit_increases(monotone, kraus, bloch)
     yield [_qubit_audit_trial(monotone, operation_class, rng)]
 
 
@@ -660,11 +659,9 @@ def _lemma1_draws(rng, count: int):
     shape = rng.integers(0, len(_LEMMA1_SHAPES), size=count)
     total = sizes[shape]
     support_size = rng.integers(1, total + 1)
-    keys = np.where(np.arange(sizes.max()) < total[:, None],
-                    rng.random((count, sizes.max())), np.inf)
-    support = np.argsort(np.argsort(keys, axis=1), axis=1) < support_size[:, None]
-    amps = (rng.normal(size=keys.shape) + 1j * rng.normal(size=keys.shape)) * support
-    amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+    order = _random_permutations(rng, (count,), sizes.max(), total[:, None])
+    support = np.argsort(order, axis=1) < support_size[:, None]
+    amps = _random_unit_vectors(rng, (count,), sizes.max(), support)
     return (shape, rng.integers(0, len(_LEMMA1_CLASSES), size=count),
             rng.integers(1, 5, size=count), amps)
 
@@ -680,18 +677,19 @@ def _branch_changes(kraus, amps):
 
 def _lemma1_trials(trials: int, rng):
     """Branch changes of ``trials`` random Lemma-1 trials, one array per
-    shape, class and Kraus count in each block, with one checked Kraus
-    stack each; the last trial is the audit trial."""
+    shape and class in each block, with one checked Kraus stack each
+    (every Kraus count, zero padded to the largest); the last trial is
+    the audit trial."""
     for start in range(0, trials - 1, _TRIAL_BLOCK):
         shape, cls, n_kraus, amps = _lemma1_draws(
             rng, min(_TRIAL_BLOCK, trials - 1 - start))
-        groups = np.stack([shape, cls, n_kraus], axis=1)
+        groups = np.stack([shape, cls], axis=1)
         for group in np.unique(groups, axis=0):
             idx = np.flatnonzero((groups == group).all(axis=1))
             class_tag = _LEMMA1_CLASSES[group[1]]
             dim = math.prod(_LEMMA1_SHAPES[group[0]])
-            kraus = _random_kraus(class_tag, dim, int(group[2]), idx.size, rng)
-            _check_kraus(kraus, class_tag)
+            kraus = _random_kraus(class_tag, dim, n_kraus[idx], idx.size, rng)
+            _check_kraus(kraus, class_tag, n_kraus[idx])
             yield _branch_changes(kraus, amps[idx, :dim])[1]
     yield _lemma1_audit_trial(rng)
 

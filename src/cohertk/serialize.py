@@ -55,6 +55,9 @@ __all__ = [
 
 SIG_DIGITS = 12
 
+#: Largest ``n_kraus * dim**2`` stack a channel object may allocate.
+KRAUS_ENTRY_CAP = 2**18
+
 
 def round_floats(obj):
     """Recursively convert an object tree to JSON-ready form with all
@@ -116,9 +119,16 @@ def _as_complex(pair):
     raise ValueError(f"expected a number or [re, im] pair, got {pair!r}")
 
 
+def _integer(value) -> int:
+    """A JSON integer; not a float, bool or string, as ``int()`` allows."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 def state_from_dict(obj: dict) -> PureState:
     try:
-        dims = [int(d) for d in obj["dims"]]
+        dims = [_integer(d) for d in obj["dims"]]
         amps = [_as_complex(pair) for pair in obj["amps"]]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed state object: {exc}") from exc
@@ -179,15 +189,18 @@ def channel_to_dict(channel: IncoherentChannel) -> dict:
 
 def _dense_kraus(dim: int, ops: list) -> np.ndarray:
     """The ``(n_kraus, dim, dim)`` stack of per-operator lists of
-    ``(target, source, coeff)`` entries.  Indices must lie in
-    ``0..dim-1``, coefficients be finite, and no operator may name a
-    source column twice.  Completeness needs a nonzero entry in every
-    column, so ``dim`` is checked against the nonzero count before the
-    stack is allocated."""
+    ``(target, source, coeff)`` entries, of at most ``KRAUS_ENTRY_CAP``
+    entries.  Indices must lie in ``0..dim-1``, coefficients be finite,
+    no operator may name a source column twice, and completeness needs a
+    nonzero entry in every column."""
     if dim < 1:
         raise ValueError(f"dim must be positive, got {dim}")
-    nonzero = 0
-    for entries in ops:
+    if len(ops) * dim * dim > KRAUS_ENTRY_CAP:
+        raise ValueError(f"{len(ops)} operators of dim {dim} need "
+                         f"{len(ops) * dim * dim} entries, above the cap "
+                         f"{KRAUS_ENTRY_CAP}")
+    kraus = np.zeros((len(ops), dim, dim), dtype=complex)
+    for n, entries in enumerate(ops):
         sources = set()
         for target, source, coeff in entries:
             if not (0 <= target < dim and 0 <= source < dim):
@@ -197,23 +210,20 @@ def _dense_kraus(dim: int, ops: list) -> np.ndarray:
             if source in sources:
                 raise ValueError(f"two entries share source column {source}")
             sources.add(source)
-            nonzero += coeff != 0
+            kraus[n, target, source] = coeff
+    nonzero = np.count_nonzero(kraus)
     if nonzero < dim:
         raise ValueError(f"dim {dim} needs a nonzero entry in every column, "
                          f"got {nonzero} nonzero entries")
-    kraus = np.zeros((len(ops), dim, dim), dtype=complex)
-    for n, entries in enumerate(ops):
-        for target, source, coeff in entries:
-            kraus[n, target, source] = coeff
     return kraus
 
 
 def channel_from_dict(obj: dict) -> IncoherentChannel:
     try:
         class_tag = str(obj["class"])
-        dim = int(obj["dim"])
+        dim = _integer(obj["dim"])
         kraus = _dense_kraus(dim, [
-            [(int(t), int(s), complex(float(re), float(im)))
+            [(_integer(t), _integer(s), complex(float(re), float(im)))
              for t, s, re, im in item["entries"]] for item in obj["kraus"]])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed channel object: {exc}") from exc

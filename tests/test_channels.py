@@ -381,3 +381,78 @@ def test_vectorized_check_rejects_broken_sets():
         _check_kraus(hadamard[None])
     with pytest.raises(ValueError, match="only IC, weaker than the declared tag SIO"):
         _check_kraus(good[None], "SIO")
+
+
+# ---------------------------------------------------------------------------
+# Kraus stacks with a count per set
+
+
+def _valid_counts(tag, dim):
+    return {"IU": [1], "PIO": range(1, dim + 1)}.get(tag, range(1, 2 * dim + 2))
+
+
+@pytest.mark.parametrize("tag", ["IU", "PIO", "SIO", "IC"])
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_equal_counts_draw_what_the_int_count_draws(tag, dim):
+    # bit for bit, and leaving the generator in the same state, so
+    # random_channel keeps its streams
+    for k in _valid_counts(tag, dim):
+        by_int, by_set = np.random.default_rng(k), np.random.default_rng(k)
+        expected = _random_kraus(tag, dim, k, 6, by_int)
+        drawn = _random_kraus(tag, dim, np.full(6, k), 6, by_set)
+        assert drawn.tobytes() == expected.tobytes(), (tag, dim, k)
+        assert by_set.random() == by_int.random()
+
+
+@pytest.mark.parametrize("tag", ["PIO", "SIO", "IC"])
+@pytest.mark.parametrize("dim", [2, 3, 5])
+def test_mixed_counts_pad_each_set_with_zero_operators(tag, dim):
+    rng = np.random.default_rng(dim)
+    counts = rng.choice(_valid_counts(tag, dim), size=200)
+    kraus = _random_kraus(tag, dim, counts, 200, rng)
+    assert kraus.shape == (200, counts.max(), dim, dim)
+    nonzero = (kraus != 0).any(axis=(2, 3))
+    assert np.array_equal(nonzero, np.arange(counts.max()) < counts[:, None])
+    strongest = _check_kraus(kraus, tag, counts)
+    assert (strongest <= _CLASS_ORDER[tag]).all()
+    for c in range(0, 200, 7):
+        channel = IncoherentChannel(tag, kraus[c, :counts[c]])
+        assert _CLASS_ORDER[validate_class(channel)] == strongest[c]
+    # a set with one operator is a phased permutation however it is padded
+    assert (strongest[counts == 1] == _CLASS_ORDER["IU"]).all()
+    # the padded operators add no kept branch
+    amps = rng.standard_normal((200, dim)) + 1j * rng.standard_normal((200, dim))
+    amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+    probs, _, kept = _apply_kraus(kraus, amps)
+    assert not (kept & ~nonzero).any()
+    assert_allclose(probs.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+
+def test_padded_pio_set_needs_its_count():
+    # without its count, the empty padding operator demotes a one-operator
+    # PIO set to SIO, which a PIO check rejects
+    swap = np.array([[0, 1], [1, 0]], dtype=complex)
+    padded = np.stack([swap, np.zeros((2, 2))])[None]
+    assert list(_check_kraus(padded, "PIO", [1])) == [_CLASS_ORDER["IU"]]
+    assert list(_check_kraus(padded)) == [_CLASS_ORDER["SIO"]]
+    with pytest.raises(ValueError, match="only SIO, weaker than the "
+                                         "declared tag PIO"):
+        _check_kraus(padded, "PIO")
+
+
+@pytest.mark.parametrize("tag, dim, top", [("PIO", 3, 3), ("SIO", 2, 4),
+                                           ("IC", 2, 4), ("IC", 3, 7)])
+def test_mixed_counts_keep_each_counts_distribution(tag, dim, top):
+    # the sets of count k in a mixed draw look like an int draw of count
+    # k: the chance that operator 0 sends source 0 to target 0, and the
+    # mean weight |K_0[0, 0]|^2
+    rng = np.random.default_rng(top)
+    counts = rng.integers(1, top + 1, size=4000)
+    mixed = _random_kraus(tag, dim, counts, 4000, rng)
+    for k in range(1, top + 1):
+        ours = mixed[counts == k, 0, 0, 0]
+        theirs = _random_kraus(tag, dim, k, ours.size, rng)[:, 0, 0, 0]
+        for stat in (lambda x: x != 0, lambda x: np.abs(x) ** 2):
+            a, b = stat(ours).astype(float), stat(theirs).astype(float)
+            spread = math.sqrt((a.var() + b.var()) / a.size) or 1.0
+            assert abs(a.mean() - b.mean()) <= 5 * spread, (k, a.mean(), b.mean())

@@ -15,6 +15,7 @@ from cohertk.classify import (
     _compatible_permutations,
     _matching_bound,
     _permuted_flat_index,
+    _same_class,
     _slice_compatibility,
     _solve_torus,
     canonical_form_r4,
@@ -404,6 +405,49 @@ def test_rank_class_stable_under_invertible_local_ops():
         branches = local_product_apply(template.product, psi)
         image = next(b.state for b in branches if b.labels == (0, 0))
         assert slicc_equivalent_2qubit(psi, image)
+
+
+def _random_local_monomial(rng):
+    """Per qubit, a random permutation times a diagonal scaling with
+    moduli in [1/2, 2] and random phases: an invertible incoherent map."""
+    return np.kron(*[np.eye(2)[rng.permutation(2)]
+                     @ np.diag(rng.uniform(0.5, 2.0, 2)
+                               * np.exp(2j * np.pi * rng.random(2)))
+                     for _ in range(2)])
+
+
+def _random_support_state(rng):
+    """A two-qubit state on a random support of random size."""
+    support = rng.permutation(4) < rng.integers(1, 5)
+    amps = (rng.uniform(0.2, 1.0, 4) * np.exp(2j * np.pi * rng.random(4))
+            * support)
+    return amps / np.linalg.norm(amps)
+
+
+def test_slicc_labels_are_invariant_under_local_monomial_maps():
+    # a local permutation maps r = ad/(bc) to r or 1/r and a diagonal
+    # scaling leaves it alone, so neither the label nor any verdict may
+    # change
+    rng = np.random.default_rng(2018)
+    for _ in range(300):
+        amps, other = _random_support_state(rng), _random_support_state(rng)
+        moved = _random_local_monomial(rng) @ amps
+        moved_other = _random_local_monomial(rng) @ other
+        first = slicc_class_2qubit(PureState((2, 2), amps))
+        image = slicc_class_2qubit(
+            PureState((2, 2), moved / np.linalg.norm(moved)))
+        assert (image.rank, image.subclass, image.support_pattern) == (
+            first.rank, first.subclass, first.support_pattern)
+        assert _same_class(first, image)
+        if first.rank == 4:
+            assert any(abs(image.invariant_r - r) <= 1e-9 * abs(r)
+                       for r in first.invariant_pair)
+        second = slicc_class_2qubit(PureState((2, 2), other))
+        second_image = slicc_class_2qubit(
+            PureState((2, 2), moved_other / np.linalg.norm(moved_other)))
+        assert (_same_class(image, second_image)
+                == _same_class(first, second)
+                == _same_class(second, first))
 
 
 # ---------------------------------------------------------------------------

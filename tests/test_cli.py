@@ -638,6 +638,16 @@ def test_unknown_subject_key_exits_1(tmp_path, capsys):
     assert "'amps', 'bloch', 'spectrum'" in err
 
 
+def test_non_integer_dims_exit_1(tmp_path, capsys):
+    # int() used to read 2.5 as 2, and the state as a qubit
+    path = write_json(tmp_path, "half.json", {"dims": [2.5], "amps": [1, 0]})
+    code, out, err = run_cli(capsys, "monotone", "--kind", "source",
+                             "--state", path)
+    assert (code, out) == (1, "")
+    assert err == ("cohertk: error: malformed state object: expected an "
+                   "integer, got 2.5\n")
+
+
 def test_usage_errors_exit_1(capsys):
     with pytest.raises(SystemExit) as info:
         main(["volume"])  # missing required --state

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from numpy.testing import assert_allclose
 from cohertk.channels import random_channel
 from cohertk.oracle import VolumeEstimate
 from cohertk.serialize import (
+    KRAUS_ENTRY_CAP,
     bloch_from_dict,
     bloch_to_dict,
     channel_from_dict,
@@ -80,6 +82,16 @@ def test_state_from_dict_accepts_bare_reals_and_rejects_malformed():
         state_from_dict({"amps": [[1.0, 0.0], [0.0, 0.0]]})
     with pytest.raises(ValueError, match="re, im"):
         state_from_dict({"dims": [2], "amps": [[1.0, 0.0, 0.0], [0.0]]})
+
+
+@pytest.mark.parametrize("dims, value", [
+    ([2.5], 2.5), ([2.0], 2.0), ([True, 2], True), (["2"], "'2'"),
+])
+def test_state_from_dict_rejects_non_integer_dims(dims, value):
+    # int() would read 2.5 as a qubit and true as a trivial party
+    with pytest.raises(ValueError, match=re.escape(
+            f"malformed state object: expected an integer, got {value}")):
+        state_from_dict({"dims": dims, "amps": [1, 0]})
 
 
 def test_bloch_round_trip_and_validation():
@@ -217,8 +229,8 @@ def test_channel_from_dict_rejects_a_source_column_named_twice(column):
 
 
 def test_channel_from_dict_needs_a_nonzero_entry_per_column():
-    # a completeness check would fail anyway, but only after allocating
-    # the (n_kraus, dim, dim) stack that dim asks for
+    # a completeness check would fail anyway; this one says why, in terms
+    # of the entries given
     with pytest.raises(ValueError, match="dim 5 needs a nonzero entry in "
                                          "every column, got 2"):
         channel_from_dict(_one_operator(5, (0, 0, 1, 0), (1, 1, 1, 0)))
@@ -232,3 +244,42 @@ def test_channel_from_dict_needs_a_nonzero_entry_per_column():
     channel = channel_from_dict(swap)
     assert channel.matrices.shape == (2, 2, 2)
     assert channel_to_dict(channel) == swap
+
+
+@pytest.mark.parametrize("obj, value", [
+    ({"class": "IU", "dim": 2.9, "kraus": [
+        {"entries": [[0.7, 0, 1, 0], [True, 1.2, 1, 0]]}]}, 2.9),
+    ({"class": "IU", "dim": True, "kraus": [{"entries": [[0, 0, 1, 0]]}]},
+     True),
+    (_one_operator(2, (0, 0, 1, 0), (True, 1, 1, 0)), True),
+    (_one_operator(2, (0, 0, 1, 0), (1, 1.0, 1, 0)), 1.0),
+    (_one_operator(2, (0, 0, 1, 0), (1, "1", 1, 0)), "'1'"),
+])
+def test_channel_from_dict_rejects_non_integer_indices(obj, value):
+    with pytest.raises(ValueError, match=re.escape(
+            f"malformed channel object: expected an integer, got {value}")):
+        channel_from_dict(obj)
+
+
+def _identity_plus_empty(dim, n_kraus):
+    return {"class": "IC", "dim": dim, "kraus": [
+        {"entries": [[i, i, 1, 0] for i in range(dim)]}]
+        + [{"entries": []}] * (n_kraus - 1)}
+
+
+def test_channel_from_dict_caps_the_stack_before_allocating():
+    # n_kraus * dim**2 complex entries: 26 * 100**2 is just under the cap,
+    # 27 * 100**2 just over
+    assert 26 * 100**2 <= KRAUS_ENTRY_CAP < 27 * 100**2
+    channel = channel_from_dict(_identity_plus_empty(100, 26))
+    assert channel.matrices.shape == (26, 100, 100)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=re.escape(
+                "malformed channel object: 27 operators of dim 100 need "
+                f"270000 entries, above the cap {KRAUS_ENTRY_CAP}")):
+            channel_from_dict(_identity_plus_empty(100, 27))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
