@@ -45,11 +45,11 @@ import sys
 
 from .classify import (_canonical_parameters, _rank4_invariant, _same_class,
                        liu_equivalent, slicc_class_2qubit)
-from .feasibility import (_QUBIT_FAMILY, LemmaNotApplicableError,
-                          ic_pure_feasible, licc_bipartite_feasible,
-                          locc_pure_feasible, pio_qubit_feasible,
-                          sio_qubit_feasible)
-from .monotones import _as_bloch, _closed_monotone, _select_spectrum
+from .feasibility import (_QUBIT_FAMILY, LemmaNotApplicableError, _as_bloch,
+                          _select_spectrum, ic_pure_feasible,
+                          licc_bipartite_feasible, locc_pure_feasible,
+                          pio_qubit_feasible, sio_qubit_feasible)
+from .monotones import _closed_monotone
 from .oracle import (DEFAULT_SEED, b3_b4_counterexamples, exact_polytope_volume,
                      coordinate_plane_predicate, formula_identity_check,
                      lemma1_suite, make_region, mc_volume, monotonicity_suite,
@@ -158,21 +158,21 @@ def _cmd_feasible(args):
     source = _load_subject(args.source)
     target = _load_subject(args.target)
     cls = args.operation_class.upper()
-    pure = isinstance(source, PureState) and isinstance(target, PureState)
-    if cls == "IC" and pure:
-        verdict = ic_pure_feasible(source, target)
-    elif cls in _QUBIT_FAMILY:
-        fn = (sio_qubit_feasible if _QUBIT_FAMILY[cls] == "SIO"
-              else pio_qubit_feasible)
-        verdict = fn(_as_bloch(source), _as_bloch(target))
-    elif cls in ("LOCC", "LICC") and not pure:
+    if cls != "LOCC" and cls not in _QUBIT_FAMILY:
+        raise ValueError(f"unknown operation class {cls!r}")
+    family = _QUBIT_FAMILY.get(cls)
+    if family and (cls == "PIO" or isinstance(source, QubitBloch)
+                   or isinstance(target, QubitBloch)):
+        criterion = sio_qubit_feasible if family == "SIO" else pio_qubit_feasible
+        verdict = criterion(_as_bloch(source), _as_bloch(target))
+    elif not (isinstance(source, PureState) and isinstance(target, PureState)):
         raise ValueError(f"{cls} feasibility compares two pure states")
     elif cls == "LOCC":
         verdict = locc_pure_feasible(source, target, cut=args.cut)
-    elif cls == "LICC":
-        verdict = licc_bipartite_feasible(source, target, cut=args.cut)
+    elif family == "SIO":
+        verdict = ic_pure_feasible(source, target)
     else:
-        raise ValueError(f"unknown operation class {cls!r}")
+        verdict = licc_bipartite_feasible(source, target, cut=args.cut)
     payload = {"class": cls, "feasible": verdict.feasible,
                "binding": list(verdict.binding)}
     _emit_json(payload, args.output)
@@ -242,7 +242,11 @@ def _cmd_check(args):
     elif args.suite == "lemma1":
         report = lemma1_suite(args.trials, seed)
     else:
-        dims = tuple(int(d) for d in args.dims.split(","))
+        try:
+            dims = tuple(int(d) for d in args.dims.split(","))
+        except ValueError:
+            raise ValueError("--dims takes comma-separated integers, "
+                             f"got {args.dims!r}") from None
         report = formula_identity_check(args.count, dims, seed)
     _emit_json(report, args.output)
     return 0
@@ -305,7 +309,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--class", dest="operation_class", required=True,
-                   help="IC | SIO | PIO | LICC | LOCC")
+                   help="IC | SIO | PIO | LICC | LSICC | LOCC")
     p.add_argument("--cut", type=int, default=None,
                    help="bipartition size for LOCC, LICC (first k parties)")
     add_output(p)

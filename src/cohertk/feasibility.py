@@ -1,12 +1,13 @@
 """Transformation-feasibility predicates.
 
 Pure-state convertibility under the incoherent classes reduces to
-majorization between spectra; single-qubit mixed-state convertibility
-under SIO/IC and PIO reduces to closed inequality systems on Bloch
-triples.  All predicates return a :class:`FeasibilityVerdict` carrying
-the tight or violated constraints, and all inequality tests use an
-additive slack of ``1e-10`` so that boundary points of the closed
-feasibility regions test feasible.
+majorization between the spectra that the one reader here takes off
+each subject; single-qubit mixed-state convertibility under SIO/IC and
+PIO reduces to closed inequality systems on Bloch triples.  All
+predicates return a :class:`FeasibilityVerdict` carrying the tight or
+violated constraints, and all inequality tests use an additive slack of
+``1e-10`` so that boundary points of the closed feasibility regions
+test feasible.
 
 Each qubit criterion is written once, as a list of named inequalities.
 The scalar qubit predicates read the tight and violated constraints off
@@ -21,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import PureState, QubitBloch, dephased_spectrum, schmidt_spectrum
+from .states import (PureState, QubitBloch, bloch_from_density,
+                     dephased_spectrum, schmidt_spectrum, sorted_spectrum)
 
 __all__ = [
     "FeasibilityVerdict",
@@ -114,7 +116,8 @@ def ic_pure_feasible(psi: PureState, phi: PureState) -> FeasibilityVerdict:
     """
     if psi.dim != phi.dim:
         raise ValueError("states live on different total dimensions")
-    return majorization_verdict(dephased_spectrum(phi), dephased_spectrum(psi))
+    return majorization_verdict(
+        *(_select_spectrum(s, "IC") for s in (phi, psi)))
 
 
 def locc_pure_feasible(psi: PureState, phi: PureState, cut=None) -> FeasibilityVerdict:
@@ -127,40 +130,68 @@ def locc_pure_feasible(psi: PureState, phi: PureState, cut=None) -> FeasibilityV
     return majorization_verdict(s_phi, s_psi)
 
 
-def _licc_spectrum(state: PureState, cut=None) -> np.ndarray:
-    """Schmidt coefficients of a bipartite state with diagonal reduced
-    states, the spectrum every local-incoherent criterion reads; raises
-    :class:`LemmaNotApplicableError` for any other state."""
-    if state.n_parties != 2:
+def licc_bipartite_feasible(psi: PureState, phi: PureState,
+                            cut=None) -> FeasibilityVerdict:
+    """Convertibility ``psi -> phi`` under local incoherent operations
+    and classical communication, for bipartite states whose reduced
+    states are diagonal in the reference bases, split at ``cut``; any
+    other state raises :class:`LemmaNotApplicableError`, since the
+    criterion does not decide the instance."""
+    if psi.dims != phi.dims:
+        raise ValueError("states have different party structures")
+    return majorization_verdict(
+        *(_select_spectrum(s, "LICC", cut) for s in (phi, psi)))
+
+
+#: The operation classes a subject is read under, each mapped to the
+#: class whose qubit criterion, forms and regions it uses (qubit SIO and
+#: IC admit the same state transformations; LICC and LSICC have none).
+_QUBIT_FAMILY = {"PIO": "PIO", "SIO": "SIO", "IC": "SIO",
+                 "LSICC": None, "LICC": None}
+
+
+def _as_bloch(subject) -> QubitBloch:
+    """The Bloch vector of a subject: a :class:`~cohertk.states.QubitBloch`
+    itself, or the projector of a single-qubit pure state."""
+    if isinstance(subject, QubitBloch):
+        return subject
+    if isinstance(subject, PureState) and subject.dims == (2,):
+        return bloch_from_density(np.outer(subject.amps, subject.amps.conj()))
+    raise ValueError("this operation needs a Bloch vector "
+                     '({"bloch": [rx, ry, rz]}) or single-qubit state')
+
+
+def _select_spectrum(subject, operation_class: str, cut=None) -> np.ndarray:
+    """Sorted spectrum relevant to an operation class.
+
+    A bare probability vector is the spectrum itself, for any known
+    class but PIO.  For a :class:`~cohertk.states.PureState` it is the
+    dephased populations under IC/SIO, or the Schmidt coefficients under
+    LICC/LSICC, which need a bipartite state with diagonal reduced
+    states and raise :class:`LemmaNotApplicableError` otherwise.
+    ``operation_class`` must be upper case.
+    """
+    if isinstance(subject, QubitBloch):
+        raise ValueError("this operation needs a state or spectrum, "
+                         "not a Bloch vector")
+    if operation_class not in _QUBIT_FAMILY:
+        raise ValueError(f"unknown operation class {operation_class!r}")
+    if operation_class == "PIO":
+        # majorization alone does not govern pure-state PIO conversions
+        subjects = "pure states" if isinstance(subject, PureState) else "spectra"
+        raise ValueError(f"no spectrum rule for class 'PIO' on {subjects}")
+    if not isinstance(subject, PureState):
+        return sorted_spectrum(subject)
+    if _QUBIT_FAMILY[operation_class] == "SIO":
+        return dephased_spectrum(subject)
+    if subject.n_parties != 2:
         raise LemmaNotApplicableError("LICC criteria need a bipartite state")
-    data = schmidt_spectrum(state, cut)
+    data = schmidt_spectrum(subject, cut)
     if not (data.left_diagonal and data.right_diagonal):
         raise LemmaNotApplicableError(
             "a state has a non-diagonal reduced state; the "
             "Schmidt-majorization criterion does not apply")
     return data.coefficients
-
-
-def licc_bipartite_feasible(psi: PureState, phi: PureState,
-                            cut=None) -> FeasibilityVerdict:
-    """Convertibility ``psi -> phi`` under local incoherent operations
-    and classical communication, for bipartite states whose reduced
-    states are diagonal in the reference bases, split at ``cut``.
-
-    Raises
-    ------
-    LemmaNotApplicableError
-        When either state is not bipartite or has a non-diagonal reduced
-        state; the criterion then simply does not decide the instance.
-    """
-    if psi.dims != phi.dims:
-        raise ValueError("states have different party structures")
-    return majorization_verdict(*(_licc_spectrum(s, cut) for s in (phi, psi)))
-
-
-#: The class whose qubit criterion, forms and regions each class uses:
-#: qubit SIO and IC admit the same state transformations.
-_QUBIT_FAMILY = {"SIO": "SIO", "IC": "SIO", "PIO": "PIO"}
 
 
 # Each qubit criterion is a list of inequalities (name, lhs, rhs), read

@@ -24,9 +24,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .feasibility import _QUBIT_FAMILY, _licc_spectrum
-from .states import (PureState, QubitBloch, bloch_from_density,
-                     dephased_spectrum, sorted_spectrum)
+from .feasibility import _QUBIT_FAMILY, _select_spectrum
+from .states import QubitBloch, sorted_spectrum
 
 __all__ = [
     "MonotoneValue",
@@ -46,8 +45,6 @@ __all__ = [
 
 #: Recognized Lebesgue-measure conventions for region volumes.
 MEASURE_TAGS = ("sorted-representative", "coordinate-plane", "bloch-halfplane")
-
-_OPERATION_CLASSES = ("PIO", "SIO", "IC", "LSICC", "LICC")
 
 #: Transverse Bloch radii at or below this are treated as the z axis.
 AXIS_TOL = 1e-12
@@ -82,7 +79,7 @@ class MonotoneValue:
             raise ValueError(f"unknown kind {self.kind!r}")
         if self.measure not in MEASURE_TAGS:
             raise ValueError(f"unknown measure tag {self.measure!r}")
-        if self.operation_class not in _OPERATION_CLASSES:
+        if self.operation_class not in _QUBIT_FAMILY:
             raise ValueError(f"unknown operation class {self.operation_class!r}")
         if not self.sup_volume > 0:
             raise ValueError("sup_volume must be positive")
@@ -200,54 +197,14 @@ def sup_source_volume(dim: int) -> float:
     return math.sqrt(dim) / (math.factorial(dim) * math.factorial(dim - 1))
 
 
-def _as_bloch(subject) -> QubitBloch:
-    """The Bloch vector of a subject: a :class:`~cohertk.states.QubitBloch`
-    itself, or the projector of a single-qubit pure state."""
-    if isinstance(subject, QubitBloch):
-        return subject
-    if isinstance(subject, PureState) and subject.dims == (2,):
-        vec = subject.amps
-        return bloch_from_density(np.outer(vec, vec.conj()))
-    raise ValueError("this operation needs a Bloch vector "
-                     '({"bloch": [rx, ry, rz]}) or single-qubit state')
-
-
-def _select_spectrum(subject, operation_class: str, cut=None) -> np.ndarray:
-    """Sorted spectrum relevant to an operation class.
-
-    A bare probability vector is the spectrum itself, for any known
-    class but PIO.  For a :class:`~cohertk.states.PureState` it is the
-    dephased populations under IC/SIO, or the Schmidt coefficients under
-    LICC/LSICC, which need a bipartite state with diagonal reduced
-    states and raise :class:`~cohertk.feasibility.LemmaNotApplicableError`
-    otherwise.  ``operation_class`` must be upper case.
-    """
-    if isinstance(subject, QubitBloch):
-        raise ValueError("this operation needs a state or spectrum, "
-                         "not a Bloch vector")
-    if operation_class not in _OPERATION_CLASSES:
-        raise ValueError(f"unknown operation class {operation_class!r}")
-    if operation_class == "PIO":
-        # majorization alone does not govern pure-state PIO conversions
-        subjects = "pure states" if isinstance(subject, PureState) else "spectra"
-        raise ValueError(f"no spectrum rule for class 'PIO' on {subjects}")
-    if not isinstance(subject, PureState):
-        return sorted_spectrum(subject)
-    if operation_class in ("IC", "SIO"):
-        return dephased_spectrum(subject)
-    return _licc_spectrum(subject, cut)
-
-
 def source_coherence_closed(state, operation_class: str = "IC",
                             cut=None) -> MonotoneValue:
     """Closed-form source coherence of a pure state.
 
-    ``state`` may be a :class:`~cohertk.states.PureState` — the
-    spectrum is then chosen by ``operation_class`` (dephased
-    populations for IC/SIO; Schmidt coefficients for LICC/LSICC, which
-    requires diagonal reduced states and raises
-    :class:`~cohertk.feasibility.LemmaNotApplicableError` otherwise) —
-    or a bare sorted probability vector used as the spectrum directly.
+    ``state`` may be a :class:`~cohertk.states.PureState`, whose spectrum
+    :func:`~cohertk.feasibility._select_spectrum` reads under
+    ``operation_class``, or a bare sorted probability vector used as the
+    spectrum directly.
 
     The value is ``1 - permutation_sum(spectrum)`` on the full spectrum,
     zero entries included, and the raw volume is normalized by its

@@ -63,6 +63,9 @@ _SIMPLEX_BLOCK = 16_384
 
 _MONOTONICITY_TOL = 1e-8
 
+#: Longest spectrum exact_polytope_volume (and so the identity check) takes.
+_MAX_EXACT_LEN = 8
+
 #: Most points a 4-D counterexample grid may have (19**4 at the default
 #: step); checked before the grid is allocated.
 _MAX_GRID_POINTS = 10 ** 6
@@ -378,7 +381,7 @@ def exact_polytope_volume(spectrum) -> float:
     of mu <= those of lam}, measured inside the simplex hyperplane
     (metric factor sqrt(d) over the first d-1 coordinates).  Zero
     entries are kept — the ambient dimension is part of the input.
-    Supports lengths up to 8; length 1 returns 1.0 by convention.
+    Supports lengths up to _MAX_EXACT_LEN; length 1 returns 1.0 by convention.
 
     Its vertices are the averages of lam over its splits into
     consecutive blocks.  Proof: call k tight at mu when the partial sums
@@ -403,8 +406,9 @@ def exact_polytope_volume(spectrum) -> float:
         raise ValueError(
             "spectrum must be a nonempty flat list of finite numbers")
     lam = [Fraction(x) for x in arr]
-    if len(lam) > 8:
-        raise ValueError("exact volumes are implemented for lengths <= 8")
+    if len(lam) > _MAX_EXACT_LEN:
+        raise ValueError("exact volumes are implemented for lengths "
+                         f"<= {_MAX_EXACT_LEN}")
     if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)) or lam[-1] < 0:
         raise ValueError("spectrum must be sorted nonincreasing and nonnegative")
     if abs(float(sum(lam)) - 1.0) > 1e-8:
@@ -432,8 +436,9 @@ def formula_identity_check(count: int = 100, dims=(2, 3, 4),
     closed values of one spectrum at a time, bit for bit."""
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
-    if not all(1 <= d <= 8 for d in dims):
-        raise ValueError(f"dims must lie in 1..8, got {tuple(dims)}")
+    if not all(1 <= d <= _MAX_EXACT_LEN for d in dims):
+        raise ValueError(f"dims must lie in 1..{_MAX_EXACT_LEN}, "
+                         f"got {tuple(dims)}")
     rng = np.random.default_rng(seed)
     worst = 0.0
     for d in dims:
@@ -618,7 +623,7 @@ def monotonicity_suite(monotone: str, operation_class: str, trials: int,
     rng = np.random.default_rng(seed)
 
     if monotone == "source-closed":
-        if operation_class not in ("SIO", "IC", "LICC", "LSICC"):
+        if operation_class == "PIO" or operation_class not in _QUBIT_FAMILY:
             raise ValueError(
                 f"source-closed is not claimed monotone under {operation_class!r}")
         blocks = _source_closed_trials(operation_class, trials, rng)

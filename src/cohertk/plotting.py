@@ -11,7 +11,8 @@ from __future__ import annotations
 import json
 import math
 
-from .monotones import Arc, RegionGeometry, Segment, _as_bloch, _select_spectrum
+from .feasibility import _as_bloch, _select_spectrum
+from .monotones import Arc, RegionGeometry, Segment
 from .serialize import round_floats
 
 __all__ = ["svg_figure", "boundary_csv", "figure_regions"]

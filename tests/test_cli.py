@@ -17,9 +17,10 @@ import pytest
 
 from cohertk import channels, classify, cli
 from cohertk.cli import main
+from cohertk.feasibility import _select_spectrum, majorization_verdict
 from cohertk.monotones import (qubit_pio_Ca, qubit_pio_Cs, qubit_sio_Ca,
                                qubit_sio_Cs)
-from cohertk.serialize import dumps
+from cohertk.serialize import dumps, subject_from_dict
 from cohertk.states import QubitBloch
 
 R2 = math.sqrt(0.5)
@@ -493,6 +494,13 @@ def test_check_identity_bytes_are_pinned(capsys, argv, dims, difference):
                    % (count, dims, seed, difference))
 
 
+@pytest.mark.parametrize("dims", ["2,x", ""])
+def test_check_identity_names_the_dims_flag(capsys, dims):
+    assert run_cli(capsys, "check", "--suite", "identity", "--dims", dims) == (
+        1, "", "cohertk: error: --dims takes comma-separated integers, "
+               f"got {dims!r}\n")
+
+
 def test_check_monotonicity_suite(capsys):
     payload = run_json(capsys, "check", "--suite", "monotonicity",
                        "--monotone", "sio-Ca", "--class", "SIO",
@@ -763,6 +771,8 @@ def test_reused_parser_carries_nothing_between_calls(tmp_path, capsys,
     ["check", "--suite", "identity", "--dims", "2,100000000", "--count", "1"],
     ["check", "--suite", "identity", "--dims", "0", "--count", "1"],
     ["check", "--suite", "identity", "--dims", "9", "--count", "1"],
+    ["check", "--suite", "identity", "--dims", "2,x", "--count", "1"],
+    ["check", "--suite", "identity", "--dims", "", "--count", "1"],
     # exact volumes stop at length 8
     ["volume", "--method", "exact", "--state", "NINE"],
 ])
@@ -847,6 +857,36 @@ def test_no_subcommand_raises(matrix_files, capsys, argv):
     if code == 1:
         assert out == ""
         assert err.startswith("cohertk: error:") and err.count("\n") == 1
+
+
+PURE_PAIRS = list(itertools.product(
+    sorted(name for name, payload in MATRIX_SUBJECTS.items()
+           if "amps" in payload), repeat=2))
+
+
+@pytest.mark.parametrize("source, target", PURE_PAIRS,
+                         ids=["->".join(pair) for pair in PURE_PAIRS])
+def test_feasible_classes_read_pure_states_alike(matrix_files, capsys, source,
+                                                 target):
+    # SIO answers as IC and LSICC as LICC, and each decided verdict is the
+    # majorization of the spectra the class reads off the two states
+    argv = ["feasible", "--source", matrix_files[source],
+            "--target", matrix_files[target]]
+    answers = {cls: run_cli(capsys, *argv, "--class", cls)
+               for cls in ("IC", "SIO", "LICC", "LSICC")}
+    for cls, twin in (("SIO", "IC"), ("LSICC", "LICC")):
+        code, out, err = answers[cls]
+        assert (code, out.replace(f'"class": "{cls}"', f'"class": "{twin}"'),
+                err) == answers[twin]
+    states = [subject_from_dict(MATRIX_SUBJECTS[name])
+              for name in (target, source)]
+    for cls, (code, out, _) in answers.items():
+        if code == 0:
+            verdict = majorization_verdict(
+                *(_select_spectrum(state, cls) for state in states))
+            assert json.loads(out) == {"class": cls,
+                                       "feasible": verdict.feasible,
+                                       "binding": list(verdict.binding)}
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from cohertk.feasibility import (
     FeasibilityVerdict,
     LemmaNotApplicableError,
+    _as_bloch,
     ic_pure_feasible,
     licc_bipartite_feasible,
     locc_pure_feasible,
@@ -157,6 +158,18 @@ def test_pio_reachable_set_nested_in_sio():
             assert sio_qubit_feasible(src, dst).feasible
         hits += 1
     assert cases > 10  # the comparison actually exercised feasible pairs
+
+
+def test_ic_pure_and_sio_qubit_verdicts_agree_on_qubit_states():
+    # a pure qubit pair is read two ways: dephased spectra under IC, Bloch
+    # vectors under the SIO qubit criterion; the two rules must agree
+    rng = np.random.default_rng(19)
+    for _ in range(1000):
+        psi, phi = (PureState((2,), amps / np.linalg.norm(amps))
+                    for amps in rng.standard_normal((2, 2))
+                    + 1j * rng.standard_normal((2, 2)))
+        assert (ic_pure_feasible(psi, phi).feasible
+                is sio_qubit_feasible(_as_bloch(psi), _as_bloch(phi)).feasible)
 
 
 def _random_ball(rng):

@@ -7,15 +7,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from cohertk.feasibility import LemmaNotApplicableError, majorizes
+from cohertk.feasibility import (LemmaNotApplicableError, _as_bloch,
+                                 _select_spectrum, majorizes)
 from cohertk.monotones import (
     MonotoneValue,
-    _as_bloch,
     _closed_monotone,
     _permutation_sum_fraction,
     _permutation_sums,
     _qubit_monotone,
-    _select_spectrum,
     permutation_sum,
     planar_example_volumes,
     qubit_pio_Ca,
