@@ -167,7 +167,9 @@ def _apply_kraus(kraus, states):
     below ``1e-12`` and renormalized, and normalized branches (rows not
     ``kept`` are meaningless)."""
     if states.ndim == 3:
-        out = np.einsum("cnij,cjk,cnlk->cil", kraus, states, kraus.conj())
+        # K rho first, then the sum over operators: n d^3, not n d^4
+        out = np.einsum("cnik,cnlk->cil",
+                        np.einsum("cnij,cjk->cnik", kraus, states), kraus.conj())
         drift = np.abs(np.trace(out, axis1=1, axis2=2).real
                        - np.trace(states, axis1=1, axis2=2).real)
         if not (drift <= 1e-10).all():

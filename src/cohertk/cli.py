@@ -48,7 +48,8 @@ from .classify import (_canonical_parameters, _rank4_invariant, _same_class,
 from .feasibility import (_QUBIT_FAMILY, LemmaNotApplicableError, _as_bloch,
                           _select_spectrum, ic_pure_feasible,
                           licc_bipartite_feasible, locc_pure_feasible,
-                          pio_qubit_feasible, sio_qubit_feasible)
+                          majorization_verdict, pio_qubit_feasible,
+                          sio_qubit_feasible)
 from .monotones import _closed_monotone
 from .oracle import (DEFAULT_SEED, b3_b4_counterexamples, exact_polytope_volume,
                      coordinate_plane_predicate, formula_identity_check,
@@ -165,6 +166,10 @@ def _cmd_feasible(args):
                    or isinstance(target, QubitBloch)):
         criterion = sio_qubit_feasible if family == "SIO" else pio_qubit_feasible
         verdict = criterion(_as_bloch(source), _as_bloch(target))
+    elif family == "SIO" and not (isinstance(source, PureState)
+                                  or isinstance(target, PureState)):
+        verdict = majorization_verdict(
+            *(_select_spectrum(s, cls) for s in (target, source)))
     elif not (isinstance(source, PureState) and isinstance(target, PureState)):
         raise ValueError(f"{cls} feasibility compares two pure states")
     elif cls == "LOCC":

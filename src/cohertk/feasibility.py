@@ -210,11 +210,10 @@ def _sio_constraints(src_t2, src_z, dst_t2, dst_z):
 
 
 def _pio_constraints(src_t2, src_z, dst_t2, dst_z):
-    shrink = (1.0 - abs(src_z)) ** 2
-    ratio = dst_t2 / src_t2
+    scaled = dst_t2 / src_t2 * (1.0 - abs(src_z)) ** 2
     return (("transverse", dst_t2, src_t2),
-            ("upper-cone", ratio * shrink, (1.0 - dst_z) ** 2),
-            ("lower-cone", ratio * shrink, (1.0 + dst_z) ** 2))
+            ("upper-cone", scaled, (1.0 - dst_z) ** 2),
+            ("lower-cone", scaled, (1.0 + dst_z) ** 2))
 
 
 def _qubit_verdict(constraints, r: QubitBloch, s: QubitBloch) -> FeasibilityVerdict:
@@ -230,15 +229,20 @@ def _qubit_verdict(constraints, r: QubitBloch, s: QubitBloch) -> FeasibilityVerd
 
 
 def _qubit_mask(constraints, src_t2, src_z, dst_t2, dst_z):
-    """Where ``src -> dst`` holds under a constraint list (broadcast)."""
-    src_t2, src_z, dst_t2, dst_z = np.broadcast_arrays(
-        *(np.asarray(a, dtype=float) for a in (src_t2, src_z, dst_t2, dst_z)))
-    degenerate = src_t2 <= SLACK
-    safe = np.where(degenerate, 1.0, src_t2)
-    holds = [np.logical_and.reduce([lhs <= rhs + SLACK for _, lhs, rhs
-                                    in rows(safe, src_z, dst_t2, dst_z)])
-             for rows in (_z_axis_constraints, constraints)]
-    return np.where(degenerate, *holds)
+    """Where ``src -> dst`` holds under a constraint list (broadcast).
+    The rows take the arguments as given, so a scalar side is worked out
+    once; sources on the z axis then take the one z-axis row."""
+    args = [np.asarray(a, dtype=float) for a in (src_t2, src_z, dst_t2, dst_z)]
+    degenerate = args[0] <= SLACK
+    if degenerate.any():
+        args[0] = np.where(degenerate, 1.0, args[0])
+    holds = np.ones(np.broadcast_shapes(*(a.shape for a in args)), dtype=bool)
+    for _, lhs, rhs in constraints(*args):
+        holds &= lhs <= rhs + SLACK
+    if degenerate.any():
+        (_, lhs, rhs), = _z_axis_constraints(*args)
+        np.copyto(holds, lhs <= rhs + SLACK, where=degenerate)
+    return holds
 
 
 def sio_qubit_feasible(r: QubitBloch, s: QubitBloch) -> FeasibilityVerdict:

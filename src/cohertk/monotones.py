@@ -225,29 +225,48 @@ def source_coherence_closed(state, operation_class: str = "IC",
 # single-qubit closed forms (x-z Bloch disc areas)
 
 
-def _sio_accessible_volume(t, z):
+# The SIO areas are radial factors of t times height factors of z.  The
+# kernels take ``gather``, which maps an array on z's own axes onto t's
+# grid, so a caller whose heights repeat values each height factor once.
+
+
+def _sio_accessible_height(z):
+    """Height factor h(z) = arcsin(sqrt(1-z^2))/sqrt(1-z^2) + |z| of the
+    accessible area 2 t h(z); the root reads 1 where 1 - z^2 <= 0."""
+    one_minus = np.clip(1.0 - z * z, 0.0, None)
+    return (np.arcsin(np.sqrt(one_minus))
+            / np.sqrt(np.where(one_minus > 0, one_minus, 1.0)) + np.abs(z))
+
+
+def _sio_accessible_volume(t, z, gather=np.asarray):
     """Accessible area under strictly/fully incoherent qubit operations:
     the ellipse x^2 (1-z_r^2)/t_r^2 + z^2 <= 1 cut to the strip
-    |x| <= t_r.  Vectorized over numpy arrays."""
-    safe = np.where(t > 0, t, 1.0)
+    |x| <= t_r, which is 2 t h(z), and 0 at t = 0.  Vectorized."""
+    return np.where(t > 0, 2.0 * t * gather(_sio_accessible_height(z)), 0.0)
+
+
+def _sio_source_radial(t):
+    """Radial factor A(t) = 2 arcsin(sqrt(1-t^2)) - 2 t sqrt(1-t^2) of the
+    mixed source area: the two caps |x| >= t of the disc."""
+    root = np.sqrt(np.clip(1.0 - t * t, 0.0, None))
+    return 2.0 * np.arcsin(root) - 2.0 * t * root
+
+
+def _sio_source_height(z):
+    """Height factor G(z) = arcsin|z|/sqrt(1-z^2) - |z| of the mixed
+    source area A(t) - 2 t G(z); the root reads 1 where 1 - z^2 <= 0."""
     one_minus = np.clip(1.0 - z * z, 0.0, None)
-    body = (2.0 * safe / np.sqrt(np.where(one_minus > 0, one_minus, 1.0))
-            * np.arcsin(np.sqrt(one_minus))
-            + 2.0 * np.abs(z) * safe)
-    return np.where(t > 0, body, 0.0)
+    az = np.abs(z)
+    return (np.arcsin(np.clip(az, 0.0, 1.0))
+            / np.sqrt(np.where(one_minus > 0, one_minus, 1.0)) - az)
 
 
-def _sio_source_volume_mixed(t, z):
+def _sio_source_volume_mixed(t, z, gather=np.asarray):
     """Source area for strictly mixed qubit states (|r| < 1): the disc
-    minus the strip-and-ellipse exclusion.  Vectorized."""
-    one_minus_t = np.clip(1.0 - t * t, 0.0, None)
-    one_minus_z = np.clip(1.0 - z * z, 0.0, None)
-    safe = np.where(one_minus_z > 0, one_minus_z, 1.0)
-    body = (2.0 * np.arcsin(np.sqrt(one_minus_t))
-            - 2.0 * t * np.sqrt(one_minus_t)
-            - 2.0 * t / np.sqrt(safe) * np.arcsin(np.clip(np.abs(z), 0.0, 1.0))
-            + 2.0 * np.abs(z) * t)
-    return np.clip(body, 0.0, np.pi)
+    minus the strip-and-ellipse exclusion, A(t) - 2 t G(z) clipped to
+    [0, pi].  Vectorized."""
+    return np.clip(_sio_source_radial(t)
+                   - 2.0 * t * gather(_sio_source_height(z)), 0.0, np.pi)
 
 
 def _sio_source_volume_pure(z):
@@ -257,22 +276,26 @@ def _sio_source_volume_pure(z):
     return 2.0 * np.arcsin(az) - 2.0 * az * np.sqrt(1.0 - az * az)
 
 
-def _on_pure_boundary(t, z):
-    """|t^2 + z^2 - 1| <= 1e-12, as ``QubitBloch.is_pure``; vectorized."""
-    return abs(t * t + z * z - 1.0) <= 1e-12
+def _on_pure_boundary(t, z, gather=np.asarray):
+    """|t^2 + z^2 - 1| <= 1e-12, as ``QubitBloch.is_pure``; vectorized.
+    Gathered heights are screened first: such a point has t >= sqrt(1 -
+    z^2 - 1e-9) (the margin covers rounding), a root valued on z's axes."""
+    if gather is not np.asarray and not np.any(
+            t >= gather(np.sqrt(np.maximum(1.0 - z * z - 1e-9, 0.0)))):
+        return False
+    return abs(t * t + gather(z * z) - 1.0) <= 1e-12
 
 
-def _sio_source_volume(t, z):
+def _sio_source_volume(t, z, gather=np.asarray):
     """Source area under strictly/fully incoherent qubit operations: the
     side caps on the pure boundary, the mixed-state area elsewhere.
     Vectorized; evaluates only the branches its points need."""
-    pure = _on_pure_boundary(t, z)
-    if np.all(pure):
-        return _sio_source_volume_pure(z)
+    pure = _on_pure_boundary(t, z, gather)
     if not np.any(pure):
-        return _sio_source_volume_mixed(t, z)
-    return np.where(pure, _sio_source_volume_pure(z),
-                    _sio_source_volume_mixed(t, z))
+        return _sio_source_volume_mixed(t, z, gather)
+    caps = gather(_sio_source_volume_pure(z))
+    return caps if np.all(pure) else np.where(
+        pure, caps, _sio_source_volume_mixed(t, z, gather))
 
 
 def _pio_accessible_volume(t, z):

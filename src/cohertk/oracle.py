@@ -24,8 +24,9 @@ from .channels import (_apply_kraus, _check_kraus, _random_kraus,
                        _random_permutations, _random_unit_vectors,
                        apply_to_density, apply_to_pure, random_channel)
 from .feasibility import _QUBIT_FAMILY, pio_feasible_mask, sio_feasible_mask
-from .monotones import (_QUBIT_FORM_NAMES, _permutation_sums, _qubit_monotone,
-                        qubit_pio_Ca, qubit_pio_Cs, qubit_sio_Ca, qubit_sio_Cs,
+from .monotones import (_QUBIT_FORM_NAMES, _QUBIT_FORMS, _normalized,
+                        _permutation_sums, _qubit_monotone, qubit_pio_Ca,
+                        qubit_pio_Cs, qubit_sio_Ca, qubit_sio_Cs,
                         source_coherence_closed, sup_source_volume)
 from .states import (AMP_TOL, PureState, QubitBloch, product_term_count,
                      sorted_spectrum)
@@ -879,9 +880,11 @@ def b3_b4_counterexamples(step: float = 0.05) -> CounterexampleReport:
     The grid is laid out as (valid (t, z) pair, p, gamma), whose C-order
     ravel is the point order (a tie reports its first point), and each
     term is valued on the axes it depends on: the whole state and its
-    eigen parts on the pairs, the instruments and mixtures on the full
-    grid, and the damping branch states on (pair, gamma), because the
-    factor sqrt(p) or sqrt(1-p) cancels from a normalized branch.
+    eigen parts on the pairs, the damping branch states on (pair, gamma),
+    because the factor sqrt(p) or sqrt(1-p) cancels from a normalized
+    branch, and the instruments' and mixtures' weights and height factors
+    on (z, p, gamma); only their products, and the instrument branches'
+    source radial factor, are valued on the full grid.
 
     The four literature reference instances are evaluated side by side
     under a normalized and an as-printed convention; no equality with
@@ -904,19 +907,27 @@ def b3_b4_counterexamples(step: float = 0.05) -> CounterexampleReport:
     damping = _damping_branches(t, z, p, g)
     readings = {"unweighted": [(1.0, tb, zb) for _, tb, zb in damping],
                 "weighted": damping}
-    # instruments diag(a, b), diag(sqrt(1-a^2), sqrt(1-b^2)) on the p, gamma
-    # axes; these stop at 0.95, so no branch weight is below 1 - 0.95^2
-    instrument = (_diagonal_branch(t, z, p, g),
-                  _diagonal_branch(t, z, np.sqrt(1.0 - p * p),
-                                   np.sqrt(1.0 - g * g)))
     eigen = _eigen_parts(t, z)
-    # mixtures p rho(t, z) + (1 - p) diag with bias 2 gamma - 1; the
-    # incoherent component has zero coherence and is left out
-    mixture = (p * t, p * z + (1.0 - p) * (2.0 * g - 1.0))
+
+    def gather(values):  # height axes (z, p, gamma) onto the grid
+        return values[zi]
+    # instruments diag(a, b), diag(sqrt(1-a^2), sqrt(1-b^2)) on the p, gamma
+    # axes: weight, height and radius over t depend on (z, a, b) alone;
+    # these stop at 0.95, so no branch weight is below 1 - 0.95^2
+    heights = axis[:, None, None]
+    instrument = [(gather(w), t * gather(k), zb) for w, k, zb in (
+        _diagonal_branch(1.0, heights, p, g),
+        _diagonal_branch(1.0, heights, np.sqrt(1.0 - p * p),
+                         np.sqrt(1.0 - g * g)))]
+    # mixtures p rho(t, z) + (1 - p) diag with bias 2 gamma - 1, radius on
+    # (t, p); the incoherent component has zero coherence and is left out
+    mixture = ((axis[:, None] * axis)[ti, :, None],
+               p * heights + (1.0 - p) * (2.0 * g - 1.0))
 
     damped, instruments, convexity = [], [], []
     for name in ("accessible", "source"):
         monotone = _QUBIT_FORM_NAMES[name, "SIO"]
+        kind, _, area, sup, _ = _QUBIT_FORMS[monotone]
         whole = np.broadcast_to(_qubit_monotone(monotone, t, z), shape)
         for reading, parts in readings.items():
             damped.append(_summarize(
@@ -924,13 +935,14 @@ def b3_b4_counterexamples(step: float = 0.05) -> CounterexampleReport:
                 _excess(monotone, whole, parts), **grid))
         instruments.append(_summarize(
             "selective-measurement", name, "weighted", "diagonal-instrument",
-            _excess(monotone, whole, instrument), a=p, b=g, t=t, z=z))
+            sum(w * _normalized(kind, area(tb, zb, gather), sup)
+                for w, tb, zb in instrument) - whole, a=p, b=g, t=t, z=z))
         eig = _summarize("convexity", name, "weighted", "eigendecomposition",
                          -_excess(monotone, whole, eigen), t=t, z=z)
         mix = _summarize(
             "convexity", name, "weighted", "incoherent-mixture",
-            -_excess(monotone, _qubit_monotone(monotone, *mixture),
-                     [(p, t, z)]), **grid)
+            _normalized(kind, area(*mixture, gather), sup) - p * whole,
+            **grid)
         best = eig if eig.best_margin >= mix.best_margin else mix
         convexity.append(replace(best, count=eig.count + mix.count))
 

@@ -118,6 +118,19 @@ def test_apply_to_density_matches_dense_sum():
     assert_allclose(np.trace(dense).real, 1.0, atol=1e-10)
 
 
+def test_density_contraction_matches_an_operator_loop_at_d16():
+    # the contraction runs K rho before the sum over operators; at d = 16
+    # it must still equal sum_n K_n rho K_n^dag term by term
+    channel = random_channel("IC", 16, 4, 5)
+    rng = np.random.default_rng(12)
+    a = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    rho = a @ a.conj().T
+    rho /= np.trace(rho).real
+    expected = sum(k @ rho @ k.conj().T for k in channel.matrices)
+    assert_allclose(apply_to_density(channel, rho), expected, rtol=0,
+                    atol=1e-12)
+
+
 def test_apply_to_density_bloch_round_trip():
     dephase = IncoherentChannel("SIO", [np.eye(2) * R2, np.diag([R2, -R2])])
     out = apply_to_density(dephase, QubitBloch(0.6, 0.2, 0.3))

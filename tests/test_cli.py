@@ -236,6 +236,37 @@ def test_feasible_ic_bloch_routes_to_qubit_criterion(tmp_path, capsys):
     assert reverse["feasible"] is False
 
 
+@pytest.mark.parametrize("cls", ["IC", "SIO"])
+def test_feasible_decides_two_spectra_by_majorization(tmp_path, capsys, cls):
+    # a spectrum file is read as itself, as monotone and volume read it:
+    # (.5, .3, .2) -> (.7, .2, .1) is feasible, the reverse is not
+    flat = write_json(tmp_path, "flat.json", {"spectrum": [0.5, 0.3, 0.2]})
+    peaked = write_json(tmp_path, "peaked.json", {"spectrum": [0.7, 0.2, 0.1]})
+    forward = run_json(capsys, "feasible", "--class", cls, "--source", flat,
+                       "--target", peaked)
+    assert forward == {"class": cls, "feasible": True,
+                       "binding": ["partial-sum 3: tight"]}
+    reverse = run_json(capsys, "feasible", "--class", cls, "--source", peaked,
+                       "--target", flat)
+    assert reverse["feasible"] is False
+    assert reverse["binding"][:2] == ["partial-sum 1: violated by 0.2",
+                                      "partial-sum 2: violated by 0.1"]
+
+
+@pytest.mark.parametrize("cls", ["IC", "SIO", "LICC", "LOCC"])
+def test_feasible_keeps_a_spectrum_against_a_pure_state_out(tmp_path, capsys,
+                                                            cls):
+    spectrum = write_json(tmp_path, "spec.json", {"spectrum": [0.5, 0.5]})
+    plus = write_json(tmp_path, "plus.json",
+                      {"dims": [2], "amps": [[R2, 0.0], [R2, 0.0]]})
+    for source, target in ((spectrum, plus), (plus, spectrum)):
+        code, out, err = run_cli(capsys, "feasible", "--class", cls,
+                                 "--source", source, "--target", target)
+        assert (code, out) == (1, "")
+        assert err == (f"cohertk: error: {cls} feasibility compares two "
+                       "pure states\n")
+
+
 def test_feasible_licc_skew_state_exits_2(tmp_path, capsys, bell):
     skew = write_json(
         tmp_path, "skew.json",

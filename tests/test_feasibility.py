@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from cohertk import feasibility
 from cohertk.feasibility import (
     FeasibilityVerdict,
     LemmaNotApplicableError,
@@ -196,3 +197,41 @@ def test_vectorized_masks_match_scalar_predicates():
     # broadcasting: one source against a batch of targets
     batch = sio_feasible_mask(0.25, 0.1, dst_t2, dst_z)
     assert batch.shape == dst_t2.shape
+
+
+def _every_point_mask(constraints, src_t2, src_z, dst_t2, dst_z):
+    """The masks with every point broadcast through both constraint lists
+    and picked by np.where, the reference for the per-side evaluation."""
+    src_t2, src_z, dst_t2, dst_z = np.broadcast_arrays(
+        *(np.asarray(a, dtype=float) for a in (src_t2, src_z, dst_t2, dst_z)))
+    degenerate = src_t2 <= feasibility.SLACK
+    safe = np.where(degenerate, 1.0, src_t2)
+    holds = [np.logical_and.reduce([lhs <= rhs + feasibility.SLACK
+                                    for _, lhs, rhs
+                                    in rows(safe, src_z, dst_t2, dst_z)])
+             for rows in (feasibility._z_axis_constraints, constraints)]
+    return np.where(degenerate, *holds)
+
+
+@pytest.mark.parametrize("mask, constraints", [
+    (sio_feasible_mask, feasibility._sio_constraints),
+    (pio_feasible_mask, feasibility._pio_constraints),
+])
+def test_masks_give_the_every_point_verdicts(mask, constraints):
+    # a scalar source or target, batches on both sides, and sources on the
+    # z axis among them (t^2 = 0 and t^2 below the slack): the verdicts
+    # are those of every point through both lists, bit for bit
+    rng = np.random.default_rng(41)
+    radius, angle = np.sqrt(rng.random(4000)), rng.uniform(0, 2 * np.pi, 4000)
+    t2, z = (radius * np.cos(angle)) ** 2, radius * np.sin(angle)
+    t2[::97], t2[1::89] = 0.0, 5e-11
+    other = rng.permutation(4000)
+    cases = [(s_t2, s_z, t2, z) for s_t2, s_z in
+             ((0.25, 0.1), (0.0, 0.3), (4e-11, -0.2), (0.49, -0.7))]
+    cases += [(t2, z, d_t2, d_z) for d_t2, d_z in ((0.04, 0.5), (0.0, -0.9))]
+    cases += [(t2, z, t2[other], z[other]), (t2[:, None], z[:, None],
+                                             t2[:5], z[:5])]
+    for args in cases:
+        got = mask(*args)
+        assert got.dtype == bool
+        assert np.array_equal(got, _every_point_mask(constraints, *args))

@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -864,18 +865,154 @@ def test_unweighted_damping_rows_are_constant_along_p(step, monkeypatch):
         assert np.array_equal(gap, np.broadcast_to(gap[:, :1], gap.shape))
 
 
-def test_counterexample_scan_evaluates_each_term_on_its_own_axes(monkeypatch):
-    # 6 full-grid monotone evaluations per scan: the instrument branches
-    # and the mixture, for both monotones; every other term is valued on
-    # the (t, z) pairs or on (pair, gamma)
-    sizes = []
-    kernel = oracle._qubit_monotone
+def test_counterexample_scan_values_each_factor_on_its_own_axes(monkeypatch):
+    # every height factor runs on at most 19**3 points (the instruments'
+    # (z, a, b) and the mixtures' (z, p, gamma) axes), only the instrument
+    # branches' source radial factor runs on the full grid, and no whole
+    # monotone is valued there
+    factors = ("_sio_accessible_height", "_sio_source_height",
+               "_sio_source_volume_pure", "_sio_source_radial")
+    sizes = {name: [] for name in factors + ("_qubit_monotone",)}
+    for name in factors:
+        def spy(x, kernel=getattr(monotones, name), name=name):
+            sizes[name].append(np.size(x))
+            return kernel(x)
+        monkeypatch.setattr(monotones, name, spy)
+    qubit_monotone = oracle._qubit_monotone
 
     def counting(monotone, t, z):
-        sizes.append(np.broadcast(t, z).size)
-        return kernel(monotone, t, z)
+        sizes["_qubit_monotone"].append(np.broadcast(t, z).size)
+        return qubit_monotone(monotone, t, z)
 
     monkeypatch.setattr(oracle, "_qubit_monotone", counting)
-    report = b3_b4_counterexamples()
-    assert sizes.count(report.grid_points) <= 6
-    assert sum(sizes) <= 7 * report.grid_points
+    report = b3_b4_counterexamples(step=0.05)
+    full, cube = report.grid_points, 19 ** 3
+    heights = [n for name in factors[:3] for n in sizes[name]]
+    assert cube in heights and max(heights) <= cube
+    radial = sizes["_sio_source_radial"]
+    assert radial.count(full) <= 2
+    assert all(n <= cube for n in radial if n != full)
+    assert sizes["_qubit_monotone"] and full not in sizes["_qubit_monotone"]
+
+
+def _full_grid_rows(step):
+    """The scan's rows with every term valued point by point on the full
+    (pair, p, gamma) grid: the instrument branches from (pair, a, b) and
+    the mixtures through ``_qubit_monotone``, no factor on axes of its
+    own."""
+    axis = np.arange(0.05, 0.95 + 1e-9, step)
+    ti, zi = np.nonzero(axis[:, None] ** 2 + axis ** 2 < 1.0 - 1e-9)
+    t, z, p, g = axis[ti, None, None], axis[zi, None, None], axis[:, None], axis
+    shape = (t.size, axis.size, axis.size)
+    grid = {"t": t, "z": z, "p": p, "gamma": g}
+    damping = oracle._damping_branches(t, z, p, g)
+    readings = {"unweighted": [(1.0, tb, zb) for _, tb, zb in damping],
+                "weighted": damping}
+    instrument = (oracle._diagonal_branch(t, z, p, g),
+                  oracle._diagonal_branch(t, z, np.sqrt(1.0 - p * p),
+                                          np.sqrt(1.0 - g * g)))
+    eigen = oracle._eigen_parts(t, z)
+    mixture = (p * t, p * z + (1.0 - p) * (2.0 * g - 1.0))
+    summarize, excess = oracle._summarize, oracle._excess
+    damped, instruments, convexity = [], [], []
+    for name, monotone in (("accessible", "sio-Ca"), ("source", "sio-Cs")):
+        whole = np.broadcast_to(oracle._qubit_monotone(monotone, t, z), shape)
+        for reading, parts in readings.items():
+            damped.append(summarize("selective-measurement", name, reading,
+                                    "damping", excess(monotone, whole, parts),
+                                    **grid))
+        instruments.append(summarize(
+            "selective-measurement", name, "weighted", "diagonal-instrument",
+            excess(monotone, whole, instrument), a=p, b=g, t=t, z=z))
+        eig = summarize("convexity", name, "weighted", "eigendecomposition",
+                        -excess(monotone, whole, eigen), t=t, z=z)
+        mix = summarize("convexity", name, "weighted", "incoherent-mixture",
+                        -excess(monotone,
+                                oracle._qubit_monotone(monotone, *mixture),
+                                [(p, t, z)]), **grid)
+        best = eig if eig.best_margin >= mix.best_margin else mix
+        convexity.append(replace(best, count=eig.count + mix.count))
+    return damped + instruments + convexity, math.prod(shape)
+
+
+@pytest.mark.parametrize("step", [0.05, 0.1, 0.2])
+def test_counterexample_scan_matches_the_full_grid_formulation(step):
+    # same counts, best parameters and tie rows; margins within rounding
+    rows, points = _full_grid_rows(step)
+    report = b3_b4_counterexamples(step=step)
+    assert report.grid_points == points
+    assert len(report.grid) == len(rows)
+    for got, want in zip(report.grid, rows):
+        assert (got.condition, got.monotone, got.reading, got.count) == (
+            want.condition, want.monotone, want.reading, want.count)
+        assert got.best_parameters == want.best_parameters
+        assert (got.best_margin == 0.0) is (want.best_margin == 0.0)
+        assert abs(got.best_margin - want.best_margin) <= 1e-12
+
+
+def _accessible_area(t, z):
+    """The ellipse x^2 (1 - z^2)/t^2 + z^2 <= 1 cut to the strip |x| <= t:
+    twice the integral of 2 sqrt(1 - x^2/rx^2) over 0 <= x <= t, with the
+    semi-axis rx = t/u, u = sqrt(1 - z^2); 2t at |z| = 1 (the kernel's
+    guard), 0 at t = 0."""
+    if t == 0.0:
+        return 0.0
+    u = math.sqrt(max(0.0, 1.0 - z * z))
+    if u == 0.0:
+        return 2.0 * t
+    rx = t / u
+    return 2.0 * rx * (u * math.sqrt(1.0 - u * u) + math.asin(u))
+
+
+def _source_area(t, z):
+    """The caps |x| >= t of the unit disc, less the ellipse beyond the
+    strip (the ellipse integral from t to rx); on the pure circle the
+    caps |x| >= sqrt(1 - z^2) instead."""
+    az = abs(z)
+    if abs(t * t + z * z - 1.0) <= 1e-12:
+        return 2.0 * math.asin(az) - 2.0 * az * math.sqrt(1.0 - az * az)
+    caps = 2.0 * (math.acos(t) - t * math.sqrt(1.0 - t * t))
+    u = math.sqrt(max(0.0, 1.0 - z * z))
+    if u == 0.0:
+        bulge = t * (0.5 * math.pi - 1.0)  # the kernel's guard
+    else:
+        rx = t / u
+        bulge = rx * (0.5 * math.pi - u * math.sqrt(1.0 - u * u)
+                      - math.asin(u))
+    return min(math.pi, max(0.0, caps - 2.0 * bulge))
+
+
+def _kernel_points():
+    """Seeded points of the Bloch half-disc, of its pure circle, and the
+    edges t = 0 and |z| = 1, as separate groups."""
+    rng = np.random.default_rng(20)
+    radius, angle = np.sqrt(rng.random(200)), rng.uniform(-np.pi, np.pi, 200)
+    circle = rng.uniform(-0.5 * np.pi, 0.5 * np.pi, 40)
+    edges = [(0.0, z) for z in (-1.0, -0.6, 0.0, 0.3, 1.0)]
+    edges += [(t, s) for t in (0.2, 0.9) for s in (-1.0, 1.0)]
+    return [np.column_stack([radius * np.abs(np.cos(angle)),
+                             radius * np.sin(angle)]),
+            np.column_stack([np.cos(circle), np.sin(circle)]),
+            np.array(edges)]
+
+
+@pytest.mark.parametrize("kernel, reference", [
+    (monotones._sio_accessible_volume, _accessible_area),
+    (monotones._sio_source_volume, _source_area),
+])
+def test_separable_sio_kernels_match_their_geometry(kernel, reference):
+    # scalar calls, one batch, and heights gathered from axes of their
+    # own all give the geometric area within 1e-12, at t = 0, |z| = 1 and
+    # on the pure circle too
+    groups = _kernel_points()
+    assert np.all(np.abs(groups[1][:, 0] ** 2 + groups[1][:, 1] ** 2 - 1.0)
+                  <= 1e-12)
+    for points in groups:
+        expected = [reference(float(t), float(z)) for t, z in points]
+        scalar = [float(kernel(float(t), float(z))) for t, z in points]
+        assert_allclose(scalar, expected, rtol=0, atol=1e-12)
+        assert_allclose(kernel(points[:, 0], points[:, 1]), expected,
+                        rtol=0, atol=1e-12)
+        heights, rows = np.unique(points[:, 1], return_inverse=True)
+        gathered = kernel(points[:, 0], heights, lambda values: values[rows])
+        assert_allclose(gathered, expected, rtol=0, atol=1e-12)
