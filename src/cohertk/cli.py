@@ -168,8 +168,10 @@ def _cmd_feasible(args):
         verdict = criterion(_as_bloch(source), _as_bloch(target))
     elif family == "SIO" and not (isinstance(source, PureState)
                                   or isinstance(target, PureState)):
-        verdict = majorization_verdict(
-            *(_select_spectrum(s, cls) for s in (target, source)))
+        spectra = [_select_spectrum(s, cls) for s in (target, source)]
+        if spectra[0].size != spectra[1].size:  # as ic_pure_feasible
+            raise ValueError("spectra live on different total dimensions")
+        verdict = majorization_verdict(*spectra)
     elif not (isinstance(source, PureState) and isinstance(target, PureState)):
         raise ValueError(f"{cls} feasibility compares two pure states")
     elif cls == "LOCC":

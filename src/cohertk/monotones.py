@@ -222,12 +222,10 @@ def source_coherence_closed(state, operation_class: str = "IC",
 
 
 # ---------------------------------------------------------------------------
-# single-qubit closed forms (x-z Bloch disc areas)
-
-
-# The SIO areas are radial factors of t times height factors of z.  The
-# kernels take ``gather``, which maps an array on z's own axes onto t's
-# grid, so a caller whose heights repeat values each height factor once.
+# single-qubit closed forms (x-z Bloch disc areas).  The SIO areas are
+# radial factors of t times height factors of z; their kernels take a
+# ``gather`` mapping z's own axes onto t's grid, so a caller whose heights
+# repeat values each height factor once.
 
 
 def _sio_accessible_height(z):
@@ -277,12 +275,7 @@ def _sio_source_volume_pure(z):
 
 
 def _on_pure_boundary(t, z, gather=np.asarray):
-    """|t^2 + z^2 - 1| <= 1e-12, as ``QubitBloch.is_pure``; vectorized.
-    Gathered heights are screened first: such a point has t >= sqrt(1 -
-    z^2 - 1e-9) (the margin covers rounding), a root valued on z's axes."""
-    if gather is not np.asarray and not np.any(
-            t >= gather(np.sqrt(np.maximum(1.0 - z * z - 1e-9, 0.0)))):
-        return False
+    """|t^2 + z^2 - 1| <= 1e-12, as ``QubitBloch.is_pure``; vectorized."""
     return abs(t * t + gather(z * z) - 1.0) <= 1e-12
 
 
@@ -392,14 +385,15 @@ def qubit_pio_Cs(r) -> MonotoneValue:
     return _qubit_value("pio-Cs", r)
 
 
-def _qubit_monotone(monotone: str, t, z):
+def _qubit_monotone(monotone: str, t, z, *gather):
     """Value of ``qubit_sio_Ca``, ``qubit_sio_Cs``, ``qubit_pio_Ca`` or
     ``qubit_pio_Cs`` (named ``"sio-Ca"`` ... ``"pio-Cs"``) at transverse
-    radii ``t`` and heights ``z``, vectorized."""
+    radii ``t`` and heights ``z``, vectorized; a ``gather`` passes on to
+    the SIO area kernels."""
     if monotone not in _QUBIT_FORMS:
         raise ValueError(f"unknown monotone {monotone!r}")
     kind, _, area, sup, _ = _QUBIT_FORMS[monotone]
-    return _normalized(kind, area(t, z), sup)
+    return _normalized(kind, area(t, z, *gather), sup)
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,8 @@ from .channels import (_apply_kraus, _check_kraus, _random_kraus,
                        _random_permutations, _random_unit_vectors,
                        apply_to_density, apply_to_pure, random_channel)
 from .feasibility import _QUBIT_FAMILY, pio_feasible_mask, sio_feasible_mask
-from .monotones import (_QUBIT_FORM_NAMES, _QUBIT_FORMS, _normalized,
-                        _permutation_sums, _qubit_monotone, qubit_pio_Ca,
-                        qubit_pio_Cs, qubit_sio_Ca, qubit_sio_Cs,
+from .monotones import (_QUBIT_FORM_NAMES, _permutation_sums, _qubit_monotone,
+                        qubit_pio_Ca, qubit_pio_Cs, qubit_sio_Ca, qubit_sio_Cs,
                         source_coherence_closed, sup_source_volume)
 from .states import (AMP_TOL, PureState, QubitBloch, product_term_count,
                      sorted_spectrum)
@@ -818,11 +817,12 @@ def _printed_eigen_parts(t, z):
     return parts
 
 
-def _excess(monotone, whole, parts):
+def _excess(monotone, whole, parts, *gather):
     """Weighted ``monotone`` of the parts (weight, t, z) minus ``whole``,
     the value of the whole state: positive where averaging over branches
-    fails, negative where convexity fails."""
-    return sum(w * _qubit_monotone(monotone, tb, zb)
+    fails, negative where convexity fails.  A ``gather`` maps the parts'
+    heights onto their radii's grid."""
+    return sum(w * _qubit_monotone(monotone, tb, zb, *gather)
                for w, tb, zb in parts) - whole
 
 
@@ -927,7 +927,6 @@ def b3_b4_counterexamples(step: float = 0.05) -> CounterexampleReport:
     damped, instruments, convexity = [], [], []
     for name in ("accessible", "source"):
         monotone = _QUBIT_FORM_NAMES[name, "SIO"]
-        kind, _, area, sup, _ = _QUBIT_FORMS[monotone]
         whole = np.broadcast_to(_qubit_monotone(monotone, t, z), shape)
         for reading, parts in readings.items():
             damped.append(_summarize(
@@ -935,14 +934,12 @@ def b3_b4_counterexamples(step: float = 0.05) -> CounterexampleReport:
                 _excess(monotone, whole, parts), **grid))
         instruments.append(_summarize(
             "selective-measurement", name, "weighted", "diagonal-instrument",
-            sum(w * _normalized(kind, area(tb, zb, gather), sup)
-                for w, tb, zb in instrument) - whole, a=p, b=g, t=t, z=z))
+            _excess(monotone, whole, instrument, gather), a=p, b=g, t=t, z=z))
         eig = _summarize("convexity", name, "weighted", "eigendecomposition",
                          -_excess(monotone, whole, eigen), t=t, z=z)
         mix = _summarize(
             "convexity", name, "weighted", "incoherent-mixture",
-            _normalized(kind, area(*mixture, gather), sup) - p * whole,
-            **grid)
+            _qubit_monotone(monotone, *mixture, gather) - p * whole, **grid)
         best = eig if eig.best_margin >= mix.best_margin else mix
         convexity.append(replace(best, count=eig.count + mix.count))
 

@@ -253,6 +253,19 @@ def test_feasible_decides_two_spectra_by_majorization(tmp_path, capsys, cls):
                                       "partial-sum 2: violated by 0.1"]
 
 
+@pytest.mark.parametrize("cls", ["IC", "SIO"])
+def test_feasible_rejects_spectra_of_different_lengths(tmp_path, capsys, cls):
+    # as for two pure states: no zero padding of the shorter spectrum
+    pair = write_json(tmp_path, "pair.json", {"spectrum": [0.5, 0.5]})
+    three = write_json(tmp_path, "three.json", {"spectrum": [0.5, 0.5, 0.0]})
+    for source, target in ((pair, three), (three, pair)):
+        code, out, err = run_cli(capsys, "feasible", "--class", cls,
+                                 "--source", source, "--target", target)
+        assert (code, out) == (1, "")
+        assert err == ("cohertk: error: spectra live on different total "
+                       "dimensions\n")
+
+
 @pytest.mark.parametrize("cls", ["IC", "SIO", "LICC", "LOCC"])
 def test_feasible_keeps_a_spectrum_against_a_pure_state_out(tmp_path, capsys,
                                                             cls):

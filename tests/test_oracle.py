@@ -868,8 +868,8 @@ def test_unweighted_damping_rows_are_constant_along_p(step, monkeypatch):
 def test_counterexample_scan_values_each_factor_on_its_own_axes(monkeypatch):
     # every height factor runs on at most 19**3 points (the instruments'
     # (z, a, b) and the mixtures' (z, p, gamma) axes), only the instrument
-    # branches' source radial factor runs on the full grid, and no whole
-    # monotone is valued there
+    # branches' source radial factor runs on the full grid, and a whole
+    # monotone reaches the full grid only as a product of gathered factors
     factors = ("_sio_accessible_height", "_sio_source_height",
                "_sio_source_volume_pure", "_sio_source_radial")
     sizes = {name: [] for name in factors + ("_qubit_monotone",)}
@@ -880,9 +880,10 @@ def test_counterexample_scan_values_each_factor_on_its_own_axes(monkeypatch):
         monkeypatch.setattr(monotones, name, spy)
     qubit_monotone = oracle._qubit_monotone
 
-    def counting(monotone, t, z):
-        sizes["_qubit_monotone"].append(np.broadcast(t, z).size)
-        return qubit_monotone(monotone, t, z)
+    def counting(monotone, t, z, *gather):
+        value = qubit_monotone(monotone, t, z, *gather)
+        sizes["_qubit_monotone"].append((np.size(value), bool(gather)))
+        return value
 
     monkeypatch.setattr(oracle, "_qubit_monotone", counting)
     report = b3_b4_counterexamples(step=0.05)
@@ -892,7 +893,9 @@ def test_counterexample_scan_values_each_factor_on_its_own_axes(monkeypatch):
     radial = sizes["_sio_source_radial"]
     assert radial.count(full) <= 2
     assert all(n <= cube for n in radial if n != full)
-    assert sizes["_qubit_monotone"] and full not in sizes["_qubit_monotone"]
+    calls = sizes["_qubit_monotone"]
+    assert calls and (full, False) not in calls
+    assert sum(n for n, _ in calls) <= 7 * full
 
 
 def _full_grid_rows(step):
