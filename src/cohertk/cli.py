@@ -70,16 +70,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _resolve_seed(explicit):
-    if explicit is not None:
-        return int(explicit)
     env = os.environ.get("COHERTK_SEED")
-    if env is not None and env != "":
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ValueError(f"COHERTK_SEED must be an integer: {env!r}") \
-                from exc
-    return DEFAULT_SEED
+    if explicit is None and not env:
+        return DEFAULT_SEED
+    try:
+        seed = int(env) if explicit is None else explicit
+    except ValueError as exc:
+        raise ValueError(f"COHERTK_SEED must be an integer: {env!r}") from exc
+    if seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {seed}"
+                         if explicit is not None else "COHERTK_SEED must be "
+                         f"a non-negative integer: {env!r}")
+    return seed
 
 
 def _load_subject(path):

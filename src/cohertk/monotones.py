@@ -17,10 +17,8 @@ confirm ``value = volume/sup`` (accessible) or ``1 - volume/sup``
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -163,29 +161,6 @@ def permutation_sum(spectrum) -> float:
     if len(lam) > MAX_SPECTRUM_LEN:
         raise ValueError(f"spectrum length {len(lam)} exceeds cap {MAX_SPECTRUM_LEN}")
     return float(_permutation_sums(lam[None])[0])
-
-
-def _permutation_sum_fraction(spectrum) -> Fraction:
-    """Exact-rational permutation sum by enumerating all d! terms, the
-    independent reference for :func:`_permutation_sums` and the volume
-    oracle tests; spectrum entries must be Fractions or integers summing
-    to 1."""
-    lam = [Fraction(x) for x in spectrum]
-    if sum(lam) != 1:
-        raise ValueError("spectrum must sum to 1 exactly")
-    d = len(lam)
-    if d == 1:
-        return Fraction(1)
-    total = Fraction(0)
-    center = Fraction(d + 1, 2)
-    for pi in itertools.permutations(range(1, d + 1)):
-        bracket = sum((pi[k] * lam[k] for k in range(d)), start=Fraction(0))
-        bracket -= center
-        denom = 1
-        for k in range(d - 1):
-            denom *= pi[k] - pi[k + 1]
-        total += bracket ** (d - 1) / denom
-    return total
 
 
 def sup_source_volume(dim: int) -> float:

@@ -722,6 +722,29 @@ def test_bad_seed_environment_exits_1(tmp_path, capsys, monkeypatch):
     assert "COHERTK_SEED" in err
 
 
+@pytest.mark.parametrize("command", ["volume", "check"])
+def test_negative_seed_exits_1_naming_its_source(tmp_path, capsys,
+                                                 monkeypatch, command):
+    bloch = write_json(tmp_path, "r.json", {"bloch": [0.5, 0.0, 0.3]})
+    argv = {"volume": ["volume", "--method", "mc", "--kind", "accessible",
+                       "--class", "SIO", "--state", bloch,
+                       "--samples", "1000"],
+            "check": ["check", "--suite", "lemma1", "--trials", "5"]}[command]
+    monkeypatch.delenv("COHERTK_SEED", raising=False)
+    code, out, err = run_cli(capsys, *argv, "--seed", "-1")
+    assert (code, out) == (1, "")
+    assert err == ("cohertk: error: --seed must be a non-negative integer, "
+                   "got -1\n")
+
+    monkeypatch.setenv("COHERTK_SEED", "-3")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == ("cohertk: error: COHERTK_SEED must be a non-negative "
+                   "integer: '-3'\n")
+    # --seed overrides the environment, and 0 is a seed
+    assert run_cli(capsys, *argv, "--seed", "0")[0] == 0
+
+
 def test_bad_seed_environment_spares_methods_that_draw_nothing(
         tmp_path, capsys, monkeypatch):
     spectrum = write_json(tmp_path, "spec.json", {"spectrum": [0.5, 0.3, 0.2]})

@@ -1,5 +1,6 @@
 """Tests for closed-form volumes, coherence monotones, and region geometry."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -12,7 +13,6 @@ from cohertk.feasibility import (LemmaNotApplicableError, _as_bloch,
 from cohertk.monotones import (
     MonotoneValue,
     _closed_monotone,
-    _permutation_sum_fraction,
     _permutation_sums,
     _qubit_monotone,
     permutation_sum,
@@ -34,6 +34,32 @@ PIO_SUP = 1.0 + RT(2.0)
 
 # ---------------------------------------------------------------------------
 # permutation sums
+
+
+def permutation_sum_fraction(spectrum) -> Fraction:
+    """Exact permutation sum by enumerating all d! terms, the independent
+    reference for :func:`_permutation_sums` and the volume oracle.  The
+    entries, Fractions or integers summing to 1 exactly, are read in the
+    given order, zeros kept.  With lam_k = n_k / D, each bracket
+    sum_k pi(k) lam_k - (d+1)/2 is B / (2D) for the integer
+    B = 2 sum_k pi(k) n_k - (d+1) D, so the sum is one integer numerator
+    over (2D)^(d-1) times the lcm of the difference products."""
+    lam = [Fraction(x) for x in spectrum]
+    if sum(lam) != 1:
+        raise ValueError("spectrum must sum to 1 exactly")
+    d = len(lam)
+    if d == 1:
+        return Fraction(1)
+    denom = math.lcm(*(x.denominator for x in lam))
+    n = [int(x * denom) for x in lam]
+    shift = (d + 1) * denom
+    terms = [(2 * sum(p * c for p, c in zip(pi, n)) - shift,
+              math.prod(pi[k] - pi[k + 1] for k in range(d - 1)))
+             for pi in itertools.permutations(range(1, d + 1))]
+    common = math.lcm(*(product for _, product in terms))
+    numerator = sum(bracket ** (d - 1) * (common // product)
+                    for bracket, product in terms)
+    return Fraction(numerator, common * (2 * denom) ** (d - 1))
 
 
 def test_permutation_sum_pinned_values():
@@ -67,7 +93,7 @@ def _dyadic_spectrum(d, pattern):
     for pattern in ("random", "tied", "multi-scale")] + [(8, "multi-scale")])
 def test_permutation_sum_matches_the_exact_enumeration(d, pattern):
     lam = _dyadic_spectrum(d, pattern)
-    exact = _permutation_sum_fraction(lam)
+    exact = permutation_sum_fraction(lam)
     # the recursion itself is exact: in Fractions it gives the d!-term sum
     assert _permutation_sums(np.array([lam], dtype=object))[0] == exact
     floats = [float(x) for x in lam]
@@ -80,7 +106,7 @@ def test_permutation_sum_near_uniform_has_no_cancellation():
     # by 3e-9 relative here
     lam = [0.2500001, 0.25, 0.25, 0.2499999]
     assert math.fsum(lam) == 1.0
-    exact = _permutation_sum_fraction([Fraction(x) for x in lam])
+    exact = permutation_sum_fraction([Fraction(x) for x in lam])
     assert_allclose(permutation_sum(lam), float(exact), rtol=1e-14, atol=0)
 
 
@@ -105,10 +131,10 @@ def test_permutation_sum_fraction_ambient_reading():
     # sum of (0.6, 0.4, 0) differs from the length-2 sum of (0.6, 0.4),
     # and the positive recursion gives it exactly
     lam = [Fraction(3, 5), Fraction(2, 5), Fraction(0)]
-    ambient = _permutation_sum_fraction(lam)
+    ambient = permutation_sum_fraction(lam)
     assert ambient == Fraction(13, 25)  # 0.52, hand-checked expansion
     assert _permutation_sums(np.array([lam], dtype=object))[0] == ambient
-    assert _permutation_sum_fraction(lam[:2]) == Fraction(1, 5)
+    assert permutation_sum_fraction(lam[:2]) == Fraction(1, 5)
 
 
 def test_sup_source_volume_values():

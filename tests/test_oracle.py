@@ -13,7 +13,6 @@ from numpy.testing import assert_allclose
 from cohertk.feasibility import pio_feasible_mask, sio_feasible_mask
 from cohertk import monotones
 from cohertk.monotones import (
-    _permutation_sum_fraction,
     permutation_sum,
     planar_example_volumes,
     qubit_pio_Ca,
@@ -41,6 +40,7 @@ from cohertk.oracle import (
 )
 from cohertk.channels import apply_to_pure
 from cohertk.states import QubitBloch
+from test_monotones import permutation_sum_fraction
 
 RT = math.sqrt
 
@@ -82,7 +82,7 @@ def test_exact_polytope_volume_lengths_5_and_6(sixteenths):
     # rational polytope as the exact permutation sum (zeros kept)
     lam = [Fraction(k, 16) for k in sixteenths]
     d = len(lam)
-    expected = sup_source_volume(d) * float(_permutation_sum_fraction(lam))
+    expected = sup_source_volume(d) * float(permutation_sum_fraction(lam))
     assert_allclose(exact_polytope_volume([float(x) for x in lam]),
                     expected, rtol=0, atol=1e-12)
     assert exact_polytope_volume(np.full(d, 1 / d)) == 0.0
@@ -94,7 +94,7 @@ def test_exact_polytope_volume_length_7_is_the_permutation_sum():
     lam = [Fraction(k, 32) for k in (11, 7, 5, 4, 2, 2, 1)]
     volume = oracle._projected_volume(lam)
     assert volume * math.factorial(7) * math.factorial(6) \
-        == _permutation_sum_fraction(lam)
+        == permutation_sum_fraction(lam)
     assert exact_polytope_volume([float(x) for x in lam]) \
         == float(volume) * RT(7)
 
@@ -300,6 +300,53 @@ def test_sorted_simplex_sampler_matches_row_sort(d):
             expected = _row_sort_simplex(np.random.default_rng(seed), n, d)
             assert np.array_equal(points, expected), (seed, n)
             assert all(points[:, k].flags.c_contiguous for k in range(d))
+
+
+#: Angle range of each disc region, as make_region documents it.
+_DISC_ANGLES = {"bloch-disc": (0.0, 2.0 * math.pi),
+                "bloch-half-disc": (-0.5 * math.pi, 0.5 * math.pi)}
+
+
+def _disc_draws(name, seed, n):
+    # the sampler's two draws, in order: the radius, then the angle
+    lo, hi = _DISC_ANGLES[name]
+    rng = np.random.default_rng(seed)
+    radius = np.sqrt(rng.random(n))
+    return radius, lo + (hi - lo) * rng.random(n)
+
+
+@pytest.mark.parametrize("name", sorted(_DISC_ANGLES))
+def test_disc_sampler_matches_cos_and_sin(name):
+    sampler = make_region(name).sample
+    for seed in (0, 5, 715517):
+        for n in (1, 2, oracle.SHARD_SIZE, 50_001):
+            points = sampler(np.random.default_rng(seed), n)
+            radius, theta = _disc_draws(name, seed, n)
+            assert points.shape == (n, 2)
+            assert_allclose(points[:, 0], radius * np.cos(theta),
+                            rtol=0, atol=1e-15)
+            assert_allclose(points[:, 1], radius * np.sin(theta),
+                            rtol=0, atol=1e-15)
+            assert np.all(points[:, 0] ** 2 + points[:, 1] ** 2 <= 1 + 1e-15)
+            if name == "bloch-half-disc":
+                assert np.all(points[:, 0] >= 0.0)
+            assert all(points[:, k].flags.c_contiguous for k in range(2))
+
+
+@pytest.mark.parametrize("name", sorted(_DISC_ANGLES))
+def test_disc_sampler_rounds_the_exact_half_angle_map(name):
+    # the exact rational point r(1 - t², 2t)/(1 + t²), from the float
+    # radius r <= 1 and t = tan(θ/2), is within the sampler's roundings
+    # of the float point: 4.5·2^-53 for x, 4·2^-53 for z
+    n = 500
+    points = make_region(name).sample(np.random.default_rng(3), n)
+    radius, theta = _disc_draws(name, 3, n)
+    for r, t, x, z in zip(radius.tolist(), np.tan(theta / 2).tolist(),
+                          points[:, 0].tolist(), points[:, 1].tolist()):
+        r, t = Fraction(r), Fraction(t)
+        scale = r / (1 + t * t)
+        assert abs(Fraction(x) - scale * (1 - t * t)) <= Fraction(9, 2**54)
+        assert abs(Fraction(z) - scale * 2 * t) <= Fraction(4, 2**53)
 
 
 def test_mc_volume_is_deterministic():
