@@ -164,7 +164,8 @@ def _sample_disc(theta_lo, theta_hi):
     cannot overflow; on the half disc |θ/2| <= fl(π/4) < π/4, so a
     faithful tan gives |t| <= 1 and x >= 0 exactly."""
     def sampler(rng, n):
-        radius = np.sqrt(rng.random(n))
+        radius = rng.random(n)
+        np.sqrt(radius, out=radius)
         t = rng.random(n)
         t *= 0.5 * (theta_hi - theta_lo)
         t += 0.5 * theta_lo
