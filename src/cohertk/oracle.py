@@ -164,6 +164,7 @@ def _sample_disc(theta_lo, theta_hi):
     cannot overflow; on the half disc |θ/2| <= fl(π/4) < π/4, so a
     faithful tan gives |t| <= 1 and x >= 0 exactly."""
     def sampler(rng, n):
+        # every array is written in place: fresh ones raised peak RSS
         radius = rng.random(n)
         np.sqrt(radius, out=radius)
         t = rng.random(n)

@@ -317,6 +317,9 @@ def _disc_draws(name, seed, n):
 
 @pytest.mark.parametrize("name", sorted(_DISC_ANGLES))
 def test_disc_sampler_matches_cos_and_sin(name):
+    # x >= 0 on the half disc needs |tan(θ/2)| <= 1 at its edge θ/2 = -fl(π)/4
+    for n in (1, 8):
+        assert np.all(np.abs(np.tan(np.full(n, -0.25 * math.pi))) <= 1.0)
     sampler = make_region(name).sample
     for seed in (0, 5, 715517):
         for n in (1, 2, oracle.SHARD_SIZE, 50_001):
