@@ -420,28 +420,26 @@ class TemplateWitness:
 
 def _templates_r4(state: PureState):
     """Yield the four rank-4 templates, diagonal-diagonal first, each
-    built only when asked for."""
+    built only when asked for.  A template flips local bits (fa, fb) and
+    scales each party: with ``q[i, j] = psi[i ^ fa, j ^ fb]``, the
+    scalings ``x = (1, q00/q10)`` and ``y = (1/q00, 1/q01)`` map q onto
+    ``(1, 1, 1, r')``, ``r' = q00 q11 / (q01 q10)`` (r when fa = fb, else
+    1/r).  :func:`_sio_instrument` rescales each operator to largest
+    modulus 1, so only these ratios matter."""
     if slicc_class_2qubit(state).rank != 4:
         raise ValueError("witness templates exist only for rank-4 states")
-    a, b, c, d = state.amps
-    r = _rank4_invariant(state.amps)
-
-    def template(name, mat_a, mat_b, invariant):
-        product = LocalChannelProduct(
-            [_sio_instrument(mat_a), _sio_instrument(mat_b)])
-        return TemplateWitness(name, product, invariant,
-                               *_canonical_parameters(invariant))
-
-    alpha, beta = _canonical_parameters(r)
-    yield template("diag-diag", [[alpha / (b * beta), 0], [0, 1.0 / d]],
-                   [[d * alpha / c, 0], [0, beta]], r)
-    alpha_inv, _ = _canonical_parameters(1.0 / r)
-    yield template("diag-antidiag", [[alpha_inv / b, 0], [0, alpha_inv / d]],
-                   [[0, 1.0], [b / a, 0]], 1.0 / r)
-    yield template("antidiag-diag", [[0, 1.0], [c / a, 0]],
-                   [[alpha_inv / c, 0], [0, alpha_inv / d]], 1.0 / r)
-    yield template("antidiag-antidiag", [[0, alpha / d], [alpha / b, 0]],
-                   [[0, 1.0], [d / c, 0]], r)
+    psi = state.amps.reshape(2, 2)
+    for name, fa, fb in (("diag-diag", 0, 0), ("diag-antidiag", 0, 1),
+                         ("antidiag-diag", 1, 0), ("antidiag-antidiag", 1, 1)):
+        rows, cols = [fa, 1 - fa], [fb, 1 - fb]
+        q = psi[np.ix_(rows, cols)]
+        invariant = _rank4_invariant(q.ravel())
+        # diag(x) times the flip: row i holds x_i in column i ^ f
+        product = LocalChannelProduct([_sio_instrument(mat) for mat in (
+            np.diag([1.0, q[0, 0] / q[1, 0]])[:, rows],
+            np.diag([1.0 / q[0, 0], 1.0 / q[0, 1]])[:, cols])])
+        yield TemplateWitness(name, product, invariant,
+                              *_canonical_parameters(invariant))
 
 
 def witness_templates_r4(state: PureState) -> list:

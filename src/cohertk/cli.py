@@ -100,16 +100,15 @@ def _region_name(subject, region):
     return region or "simplex-sorted"
 
 
-def _emit(text: str, output):
+def _emit(result, output):
+    """Write a subcommand's result, serialized unless it is already text
+    (SVG or CSV), to ``output`` or the standard output stream."""
+    text = result if isinstance(result, str) else dumps(result)
     if output is None:
         sys.stdout.write(text)
     else:
         with open(output, "w", encoding="utf-8") as handle:
             handle.write(text)
-
-
-def _emit_json(payload, output):
-    _emit(dumps(payload), output)
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +131,7 @@ def _cmd_classify(args):
         alpha, beta = _canonical_parameters(invariant)
         payload["canonical"] = {"alpha": alpha, "beta": beta,
                                 "invariant": invariant}
-    _emit_json(payload, args.output)
-    return 0
+    return payload
 
 
 def _cmd_equiv(args):
@@ -153,8 +151,7 @@ def _cmd_equiv(args):
                 "permutations": [list(p) for p in witness.permutations],
                 "phases": [list(p) for p in witness.phases],
             }
-    _emit_json(payload, args.output)
-    return 0
+    return payload
 
 
 def _cmd_feasible(args):
@@ -182,17 +179,13 @@ def _cmd_feasible(args):
         verdict = ic_pure_feasible(source, target)
     else:
         verdict = licc_bipartite_feasible(source, target, cut=args.cut)
-    payload = {"class": cls, "feasible": verdict.feasible,
-               "binding": list(verdict.binding)}
-    _emit_json(payload, args.output)
-    return 0
+    return {"class": cls, "feasible": verdict.feasible,
+            "binding": list(verdict.binding)}
 
 
 def _cmd_monotone(args):
-    value = _closed_monotone(_load_subject(args.state), args.kind,
-                             args.operation_class, args.cut)
-    _emit_json(value, args.output)
-    return 0
+    return _closed_monotone(_load_subject(args.state), args.kind,
+                            args.operation_class, args.cut)
 
 
 def _mc_volume_payload(subject, region_name, args, seed):
@@ -236,8 +229,7 @@ def _cmd_volume(args):
     else:
         payload = _mc_volume_payload(subject, region_name, args,
                                      _resolve_seed(args.seed))
-    _emit_json(payload, args.output)
-    return 0
+    return payload
 
 
 def _cmd_check(args):
@@ -245,33 +237,28 @@ def _cmd_check(args):
     if args.suite == "monotonicity":
         if not args.monotone:
             raise ValueError("--monotone is required for this suite")
-        report = monotonicity_suite(args.monotone,
-                                    args.operation_class.upper(),
-                                    args.trials, seed)
-    elif args.suite == "lemma1":
-        report = lemma1_suite(args.trials, seed)
-    else:
-        try:
-            dims = tuple(int(d) for d in args.dims.split(","))
-        except ValueError:
-            raise ValueError("--dims takes comma-separated integers, "
-                             f"got {args.dims!r}") from None
-        report = formula_identity_check(args.count, dims, seed)
-    _emit_json(report, args.output)
-    return 0
+        return monotonicity_suite(args.monotone,
+                                  args.operation_class.upper(),
+                                  args.trials, seed)
+    if args.suite == "lemma1":
+        return lemma1_suite(args.trials, seed)
+    try:
+        dims = tuple(int(d) for d in args.dims.split(","))
+    except ValueError:
+        raise ValueError("--dims takes comma-separated integers, "
+                         f"got {args.dims!r}") from None
+    return formula_identity_check(args.count, dims, seed)
 
 
 def _cmd_counterexample(args):
-    _emit_json(b3_b4_counterexamples(step=args.step), args.output)
-    return 0
+    return b3_b4_counterexamples(step=args.step)
 
 
 def _cmd_plot(args):
     subject = _figure_subject(args.figure, _load_subject(args.state))
     regions = figure_regions(args.figure, subject)
     if args.format == "csv":
-        _emit(boundary_csv(regions), args.output)
-        return 0
+        return boundary_csv(regions)
     accessible, source = (
         _closed_monotone(subject, kind, _FIGURE_CLASSES[args.figure],
                          planar=True) for kind in ("accessible", "source"))
@@ -279,8 +266,7 @@ def _cmd_plot(args):
                 "source_volume": source.volume,
                 "accessible_value": accessible.value,
                 "source_value": source.value}
-    _emit(svg_figure(args.figure, regions, metadata), args.output)
-    return 0
+    return svg_figure(args.figure, regions, metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -383,10 +369,12 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
-    except LemmaNotApplicableError as exc:
-        _emit_json({"applicable": False, "reason": str(exc)}, None)
-        return 2
+        try:
+            result, code = args.fn(args), 0
+        except LemmaNotApplicableError as exc:
+            result, code = {"applicable": False, "reason": str(exc)}, 2
+        _emit(result, args.output)
+        return code
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"cohertk: error: {exc}", file=sys.stderr)
         return 1

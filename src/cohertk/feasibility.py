@@ -67,12 +67,14 @@ class FeasibilityVerdict:
         return self.feasible
 
 
-def _pad(vec: np.ndarray, length: int) -> np.ndarray:
-    if vec.size == length:
-        return vec
-    out = np.zeros(length)
-    out[:vec.size] = vec
-    return out
+def _verdict(rows, slack: float = SLACK) -> FeasibilityVerdict:
+    """Verdict of inequality rows ``(name, lhs, rhs)``, each read
+    ``lhs <= rhs`` within ``slack``, binding the tight or violated rows
+    in row order."""
+    gaps = [(name, rhs - lhs) for name, lhs, rhs in rows]
+    binding = tuple(f"{name}: violated by {-gap:.3g}" if gap < -slack
+                    else f"{name}: tight" for name, gap in gaps if gap <= slack)
+    return FeasibilityVerdict(not any(gap < -slack for _, gap in gaps), binding)
 
 
 def majorizes(y, x, slack: float = SLACK) -> bool:
@@ -93,18 +95,9 @@ def majorization_verdict(y, x, slack: float = SLACK) -> FeasibilityVerdict:
         if v.size == 0 or abs(v.sum() - 1.0) > 1e-8 or v.min() < -1e-8:
             raise ValueError(f"{name} is not a normalized probability vector")
     length = max(xv.size, yv.size)
-    cx = np.cumsum(_pad(xv, length))
-    cy = np.cumsum(_pad(yv, length))
-    binding = []
-    feasible = True
-    for k in range(length):
-        gap = cy[k] - cx[k]
-        if gap < -slack:
-            feasible = False
-            binding.append(f"partial-sum {k + 1}: violated by {-gap:.3g}")
-        elif gap <= slack:
-            binding.append(f"partial-sum {k + 1}: tight")
-    return FeasibilityVerdict(feasible, tuple(binding))
+    cx, cy = (np.cumsum(np.pad(v, (0, length - v.size))) for v in (xv, yv))
+    return _verdict(zip((f"partial-sum {k}" for k in range(1, length + 1)),
+                        cx, cy), slack)
 
 
 def ic_pure_feasible(psi: PureState, phi: PureState) -> FeasibilityVerdict:
@@ -220,12 +213,7 @@ def _qubit_verdict(constraints, r: QubitBloch, s: QubitBloch) -> FeasibilityVerd
     """Verdict of ``r -> s`` with its tight or violated constraints."""
     if r.transverse_sq <= SLACK:
         constraints = _z_axis_constraints
-    gaps = [(name, rhs - lhs) for name, lhs, rhs in
-            constraints(r.transverse_sq, r.r_z, s.transverse_sq, s.r_z)]
-    binding = [f"{name}: violated by {-gap:.3g}" if gap < -SLACK
-               else f"{name}: tight" for name, gap in gaps if gap <= SLACK]
-    return FeasibilityVerdict(not any(gap < -SLACK for _, gap in gaps),
-                              tuple(binding))
+    return _verdict(constraints(r.transverse_sq, r.r_z, s.transverse_sq, s.r_z))
 
 
 def _qubit_mask(constraints, src_t2, src_z, dst_t2, dst_z):

@@ -594,9 +594,8 @@ def _sio_source_geometry(t: float, z: float) -> tuple:
 
 def _pio_accessible_geometry(t: float, z: float) -> tuple:
     az = abs(z)
-    hexagon = [(t, az), (0.0, 1.0), (-t, az), (-t, -az), (0.0, -1.0), (t, -az)]
-    loop = tuple(Segment(hexagon[i], hexagon[(i + 1) % 6]) for i in range(6))
-    return (loop,)
+    return _planar_polygon([(t, az), (0.0, 1.0), (-t, az), (-t, -az),
+                            (0.0, -1.0), (t, -az)])
 
 
 def _pio_source_geometry(t: float, z: float) -> tuple:

@@ -293,10 +293,11 @@ def sorted_simplex_predicate(spectrum, kind: str, slack: float = 1e-10):
     over sorted-simplex sample points.
 
     Source points are majorized by the spectrum (all partial sums
-    below); accessible points majorize it.
+    below); accessible points majorize it.  The d - 1 sums short of the
+    total are tested: a sample's float total may round off 1.
     """
-    return _partial_sum_predicate(np.cumsum(sorted_spectrum(spectrum)), kind,
-                                  slack)
+    return _partial_sum_predicate(np.cumsum(sorted_spectrum(spectrum))[:-1],
+                                  kind, slack)
 
 
 def coordinate_plane_predicate(spectrum, kind: str, slack: float = 1e-10):

@@ -12,10 +12,13 @@ from cohertk.channels import local_product_apply
 from cohertk.classify import (
     FIDELITY_TOL,
     LiuWitness,
+    _canonical_parameters,
     _compatible_permutations,
     _matching_bound,
     _permuted_flat_index,
+    _rank4_invariant,
     _same_class,
+    _sio_instrument,
     _slice_compatibility,
     _solve_torus,
     canonical_form_r4,
@@ -474,6 +477,53 @@ def test_witness_templates_reach_canonical_state():
                      "antidiag-diag", "antidiag-antidiag"]
     with pytest.raises(ValueError, match="rank-4"):
         witness_templates_r4(normalized([1, 1, 1, 0]))
+
+
+def _literal_templates(state):
+    """The four rank-4 templates as literal operator pairs, each mapping
+    the state exactly onto its canonical state: the reference for the
+    one solve over local bit flips."""
+    a, b, c, d = state.amps
+    r = _rank4_invariant(state.amps)
+    alpha, beta = _canonical_parameters(r)
+    alpha_inv, _ = _canonical_parameters(1.0 / r)
+    return [("diag-diag", [[alpha / (b * beta), 0], [0, 1.0 / d]],
+             [[d * alpha / c, 0], [0, beta]], r),
+            ("diag-antidiag", [[alpha_inv / b, 0], [0, alpha_inv / d]],
+             [[0, 1.0], [b / a, 0]], 1.0 / r),
+            ("antidiag-diag", [[0, 1.0], [c / a, 0]],
+             [[alpha_inv / c, 0], [0, alpha_inv / d]], 1.0 / r),
+            ("antidiag-antidiag", [[0, alpha / d], [alpha / b, 0]],
+             [[0, 1.0], [d / c, 0]], r)]
+
+
+def test_template_solve_matches_the_literal_templates():
+    rng = np.random.default_rng(2000)
+    for _ in range(250):
+        psi = random_full_support_state(rng, (2, 2))
+        templates = witness_templates_r4(psi)
+        reference = _literal_templates(psi)
+        assert [t.name for t in templates] == [ref[0] for ref in reference]
+        for template, (_, mat_a, mat_b, invariant) in zip(templates,
+                                                          reference):
+            alpha, beta = _canonical_parameters(invariant)
+            for got, want in ((template.invariant, invariant),
+                              (template.alpha, alpha), (template.beta, beta)):
+                assert abs(got - want) <= 1e-14 * abs(want)
+            for channel, mat in zip(template.product.channels,
+                                    (mat_a, mat_b)):
+                want = _sio_instrument(mat).matrices
+                got = channel.matrices
+                overlap = np.vdot(want[0], got[0])
+                assert np.abs(got[0] - overlap / abs(overlap) * want[0]
+                              ).max() <= 1e-14
+                assert len(got) == len(want)
+                assert_allclose(got[1:], want[1:], rtol=0, atol=1e-12)
+        # the canonical form's numbers are the classifier's, bit for bit
+        r = _rank4_invariant(psi.amps)
+        form = canonical_form_r4(psi)
+        assert (form.invariant, form.alpha, form.beta) == (
+            r, *_canonical_parameters(r))
 
 
 def test_canonical_form_round_trip():

@@ -310,6 +310,22 @@ def test_licc_precondition_answers_alike_everywhere(tmp_path, capsys, state):
     assert json.loads(answers[0][1])["applicable"] is False
 
 
+@pytest.mark.parametrize("argv", [
+    ("feasible", "--class", "LICC", "--source", "SKEW", "--target", "SKEW"),
+    ("monotone", "--kind", "source", "--class", "LICC", "--state", "SKEW"),
+], ids=["feasible", "monotone"])
+def test_undecided_payload_follows_output(tmp_path, capsys, argv):
+    # the exit-2 payload goes where --output says, as every result does
+    skew = write_json(tmp_path, "skew.json",
+                      {"dims": [2, 2], "amps": [[0.5, 0.0]] * 4})
+    argv = [skew if arg == "SKEW" else arg for arg in argv]
+    code, printed, _ = run_cli(capsys, *argv)
+    assert code == 2
+    out_file = tmp_path / "out.json"
+    assert run_cli(capsys, *argv, "--output", str(out_file)) == (2, "", "")
+    assert out_file.read_text(encoding="utf-8") == printed
+
+
 def test_feasible_unknown_class_exits_1(tmp_path, capsys, bell):
     code, _, err = run_cli(capsys, "feasible", "--source", bell,
                            "--target", bell, "--class", "MIO")

@@ -559,6 +559,20 @@ def test_simplex_predicate_matches_fraction_partial_sums(d, kind, slack):
     assert outcomes == {True, False}
 
 
+@pytest.mark.parametrize("d", range(2, 10))
+def test_simplex_predicate_ignores_the_rounded_total(d):
+    # a sorted-simplex sample sums to 1 by construction, but its float
+    # total may round off 1; the whole simplex is the source set of
+    # (1, 0, ..., 0) and the accessible set of the uniform spectrum, so
+    # neither test may reject a sample even without slack
+    points = make_region("simplex-sorted", dim=d).sample(
+        np.random.default_rng(d), 20_000)
+    assert (points.sum(axis=1) != 1.0).any()
+    for spectrum, kind in ((np.eye(d)[0], "source"),
+                           (np.full(d, 1.0 / d), "accessible")):
+        assert sorted_simplex_predicate(spectrum, kind, 0.0)(points).all()
+
+
 @pytest.mark.parametrize("slack", [1e-10, 0.0])
 @pytest.mark.parametrize("kind", ["accessible", "source"])
 def test_plane_predicate_matches_fraction_partial_sums(kind, slack):
