@@ -95,9 +95,9 @@ class SampleRegion:
     """A sampleable base region with known measure.
 
     ``sample(rng, n)`` returns (n, dimension) points drawn uniformly from
-    the region.  Rows are short (2 to d entries) and the sorted simplex
-    and both discs return contiguous columns, so a predicate should read
-    columns.
+    the region (the plane's fold is branch-free and gives a masked fold's
+    points).  Rows are short (2 to d entries) and the sorted simplex and
+    both discs return contiguous columns, so a predicate should read them.
     """
 
     name: str
@@ -146,9 +146,12 @@ def _sample_sorted_simplex(d):
 
 
 def _sample_coordinate_plane(rng, n):
+    """Uniform pairs p folded onto the triangle as |f - p|, f = 1.0 where
+    x + y > 1 and 0.0 elsewhere: in place and branch-free, fl(1 - p) where
+    folded and exactly p elsewhere (never -0.0), a masked fold's points."""
     pts = rng.random((n, 2))
-    fold = pts[:, 0] + pts[:, 1] > 1.0
-    return np.subtract(1.0, pts, out=pts, where=fold[:, None])
+    fold = (pts[:, 0] + pts[:, 1] > 1.0).astype(float)
+    return np.abs(np.subtract(fold[:, None], pts, out=pts), out=pts)
 
 
 def _sample_disc(theta_lo, theta_hi):
@@ -210,11 +213,12 @@ def mc_volume(predicate, region: SampleRegion, samples: int,
               seed: int = DEFAULT_SEED) -> VolumeEstimate:
     """Monte-Carlo volume of {x in region : predicate(x)}.
 
-    ``predicate`` must be vectorized: given an (n, dim) array it
-    returns n booleans, best by column arithmetic (see
+    ``predicate`` must be vectorized: given an (n, dim) array it returns
+    n booleans (of bool dtype), best by column arithmetic (see
     :class:`SampleRegion`).  Sampling is sharded deterministically (fixed
     shard size, per-shard seeds spawned from ``seed``), so the result
-    depends only on (seed, samples).
+    depends only on (seed, samples).  One shard is live at a time, so a
+    call's memory is one shard's points plus the predicate's temporaries.
     """
     samples = int(samples)
     if samples <= 0:
@@ -226,11 +230,11 @@ def mc_volume(predicate, region: SampleRegion, samples: int,
     for start in range(0, samples, SHARD_SIZE):
         m = min(SHARD_SIZE, samples - start)
         rng = np.random.default_rng(root.spawn(1)[0])
-        points = region.sample(rng, m)
-        flags = np.asarray(predicate(points), dtype=bool)
-        if flags.shape != (m,):
+        flags = np.asarray(predicate(region.sample(rng, m)))
+        if flags.dtype != bool or flags.shape != (m,):
             raise ValueError("predicate must return one boolean per point")
-        hits += int(flags.sum())
+        hits += int(np.count_nonzero(flags))
+        del flags
     ratio = hits / samples
     err = region.measure * math.sqrt(ratio * (1.0 - ratio) / samples)
     return VolumeEstimate(mean=region.measure * ratio, standard_error=err,

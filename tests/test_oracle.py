@@ -302,6 +302,25 @@ def test_sorted_simplex_sampler_matches_row_sort(d):
             assert all(points[:, k].flags.c_contiguous for k in range(d))
 
 
+def _masked_row_fold(rng, n):
+    # the per-row reference the branch-free plane fold must reproduce
+    pts = rng.random((n, 2))
+    fold = pts[:, 0] + pts[:, 1] > 1.0
+    return np.subtract(1.0, pts, out=pts, where=fold[:, None])
+
+
+def test_plane_sampler_matches_masked_row_fold():
+    sampler = make_region("coordinate-plane").sample
+    for seed in (0, 5, 715517):
+        for n in (1, 2, oracle.SHARD_SIZE, 50_001):
+            points = sampler(np.random.default_rng(seed), n)
+            expected = _masked_row_fold(np.random.default_rng(seed), n)
+            assert points.shape == (n, 2)
+            assert np.array_equal(points, expected), (seed, n)
+            assert not np.signbit(points).any()
+            assert np.all(points[:, 0] + points[:, 1] <= 1.0)
+
+
 #: Angle range of each disc region, as make_region documents it.
 _DISC_ANGLES = {"bloch-disc": (0.0, 2.0 * math.pi),
                 "bloch-half-disc": (-0.5 * math.pi, 0.5 * math.pi)}
@@ -380,6 +399,21 @@ def test_mc_volume_rejects_bad_inputs():
         mc_volume(lambda pts: np.ones(3, dtype=bool), region, 100)
 
 
+def test_mc_volume_rejects_non_boolean_predicates():
+    # NaN, 0.5 and 1 are truthy: cast to bool, they were read as hits
+    region = make_region("coordinate-plane")
+    for result in (lambda pts: np.full(len(pts), np.nan),
+                   lambda pts: np.full(len(pts), 0.5),
+                   lambda pts: np.ones(len(pts), dtype=int),
+                   lambda pts: [1] * len(pts)):
+        with pytest.raises(ValueError, match="one boolean per point"):
+            mc_volume(result, region, 100)
+    est = mc_volume(lambda pts: [bool(x > 0.5) for x in pts[:, 0]], region,
+                    1_000, seed=5)
+    expected = mc_volume(lambda pts: pts[:, 0] > 0.5, region, 1_000, seed=5)
+    assert est == expected and est.mean > 0.0
+
+
 def test_mc_volume_shard_seeds_are_one_spawn():
     # shard i draws from child i of one spawn of the seed
     region = make_region("bloch-disc")
@@ -409,6 +443,36 @@ def test_mc_volume_allocates_nothing_sized_by_samples():
     finally:
         tracemalloc.stop()
     assert peak < 10 * 2**20
+
+
+def _traced_peak(predicate, region, samples):
+    tracemalloc.start()
+    try:
+        mc_volume(predicate, region, samples, seed=1)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name, dim", [("simplex-sorted", 2),
+                                       ("simplex-sorted", 3),
+                                       ("simplex-sorted", 6),
+                                       ("simplex-sorted", 9),
+                                       ("coordinate-plane", None),
+                                       ("bloch-disc", None),
+                                       ("bloch-half-disc", None)])
+def test_mc_volume_holds_one_shard_at_a_time(name, dim):
+    # a shard's points and flags are released before the next is drawn,
+    # so three shards peak where one does
+    region = make_region(name, dim=dim)
+
+    def predicate(points):
+        return points[:, 0] >= 0.5
+
+    mc_volume(predicate, region, oracle.SHARD_SIZE, seed=1)
+    one = _traced_peak(predicate, region, oracle.SHARD_SIZE)
+    three = _traced_peak(predicate, region, 3 * oracle.SHARD_SIZE)
+    assert three <= 1.05 * one, (three, one)
 
 
 def check_mc_matches(predicate, region, expected, seed, samples=200_000):
