@@ -50,6 +50,14 @@ _CLASSES = ("IU", "PIO", "SIO", "IC")
 _CLASS_ORDER = {tag: order for order, tag in enumerate(_CLASSES)}
 
 
+def _class_tag(class_tag) -> str:
+    """A class label, upper-cased; ``ValueError`` if it names no class."""
+    class_tag = str(class_tag).upper()
+    if class_tag not in _CLASS_ORDER:
+        raise ValueError(f"unknown class tag {class_tag!r}")
+    return class_tag
+
+
 def _kraus_array(ops) -> np.ndarray:
     """A Kraus set of dense square matrices as one ``(n_kraus, dim, dim)``
     complex array."""
@@ -144,9 +152,7 @@ class IncoherentChannel:
     matrices: np.ndarray = field(repr=False)
 
     def __init__(self, class_tag: str, kraus):
-        class_tag = str(class_tag).upper()
-        if class_tag not in _CLASS_ORDER:
-            raise ValueError(f"unknown class tag {class_tag!r}")
+        class_tag = _class_tag(class_tag)
         matrices = _kraus_array(kraus)
         _check_kraus(matrices[None], class_tag)
         matrices.setflags(write=False)
@@ -279,9 +285,7 @@ def _random_kraus(class_tag: str, dim: int, n_kraus, count: int,
     and masked per set, and maps once per number of cells or per cap on
     a collision, so equal counts draw exactly as an int count does.
     """
-    class_tag = str(class_tag).upper()
-    if class_tag not in _CLASS_ORDER:
-        raise ValueError(f"unknown class tag {class_tag!r}")
+    class_tag = _class_tag(class_tag)
     counts = np.broadcast_to(n_kraus, (count,))
     max_k = int(counts.max(initial=1))
     if dim < 2 or (counts < 1).any():

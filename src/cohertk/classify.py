@@ -368,18 +368,13 @@ def slicc_equivalent_2qubit(psi: PureState, phi: PureState,
 
 
 def _sio_instrument(mat) -> IncoherentChannel:
-    """Wrap one permutation-sparse operator as a two-outcome channel.
+    """Wrap one nonzero permutation-sparse operator as a two-outcome channel.
 
     The operator is rescaled to have largest coefficient modulus 1 and
     completed by the diagonal square root of what remains; outcome 0 is
-    the wrapped operator.
+    the wrapped operator, whose structure the channel's constructor checks.
     """
     mat = np.asarray(mat, dtype=complex)
-    hot = mat != 0
-    if (not hot.any() or (hot.sum(axis=0) > 1).any()
-            or (hot.sum(axis=1) > 1).any()):
-        raise ValueError("witness operators must be nonzero and "
-                         "permutation-sparse")
     modulus = np.abs(mat)
     scale = modulus.max()
     # one entry per column at most, so each column sum is a single weight;
@@ -498,13 +493,9 @@ def verify_slicc_witness(psi: PureState, phi: PureState, ops) -> bool:
         inverse = np.divide(1.0, mat, out=np.zeros_like(mat), where=hot).T
         forward = _apply_on_axis(mat[None], forward, k)
         backward = _apply_on_axis(inverse[None], backward, k)
-    forward, backward = forward.reshape(-1), backward.reshape(-1)
-    norm_f = np.linalg.norm(forward)
-    if norm_f <= FIDELITY_TOL:
-        return False
-    if abs(np.vdot(phi.amps, forward)) / norm_f < 1.0 - FIDELITY_TOL:
-        return False
-    norm_b = np.linalg.norm(backward)
-    if norm_b <= FIDELITY_TOL:
-        return False
-    return bool(abs(np.vdot(psi.amps, backward)) / norm_b >= 1.0 - FIDELITY_TOL)
+    for image, state in ((forward, phi), (backward, psi)):
+        norm = np.linalg.norm(image)
+        if not (norm > FIDELITY_TOL and abs(np.vdot(state.amps, image)) / norm
+                >= 1.0 - FIDELITY_TOL):
+            return False
+    return True

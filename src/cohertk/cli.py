@@ -48,8 +48,7 @@ from .classify import (_canonical_parameters, _rank4_invariant, _same_class,
 from .feasibility import (_QUBIT_FAMILY, LemmaNotApplicableError, _as_bloch,
                           _select_spectrum, ic_pure_feasible,
                           licc_bipartite_feasible, locc_pure_feasible,
-                          majorization_verdict, pio_qubit_feasible,
-                          sio_qubit_feasible)
+                          pio_qubit_feasible, sio_qubit_feasible)
 from .monotones import _closed_monotone
 from .oracle import (DEFAULT_SEED, b3_b4_counterexamples, exact_polytope_volume,
                      coordinate_plane_predicate, formula_identity_check,
@@ -147,10 +146,7 @@ def _cmd_equiv(args):
         witness = liu_equivalent(first, second)
         payload = {"method": "liu", "equivalent": witness is not None}
         if witness is not None:
-            payload["witness"] = {
-                "permutations": [list(p) for p in witness.permutations],
-                "phases": [list(p) for p in witness.phases],
-            }
+            payload["witness"] = witness
     return payload
 
 
@@ -165,18 +161,13 @@ def _cmd_feasible(args):
                    or isinstance(target, QubitBloch)):
         criterion = sio_qubit_feasible if family == "SIO" else pio_qubit_feasible
         verdict = criterion(_as_bloch(source), _as_bloch(target))
-    elif family == "SIO" and not (isinstance(source, PureState)
-                                  or isinstance(target, PureState)):
-        spectra = [_select_spectrum(s, cls) for s in (target, source)]
-        if spectra[0].size != spectra[1].size:  # as ic_pure_feasible
-            raise ValueError("spectra live on different total dimensions")
-        verdict = majorization_verdict(*spectra)
+    elif family == "SIO" and (isinstance(source, PureState)
+                              == isinstance(target, PureState)):
+        verdict = ic_pure_feasible(source, target)
     elif not (isinstance(source, PureState) and isinstance(target, PureState)):
         raise ValueError(f"{cls} feasibility compares two pure states")
     elif cls == "LOCC":
         verdict = locc_pure_feasible(source, target, cut=args.cut)
-    elif family == "SIO":
-        verdict = ic_pure_feasible(source, target)
     else:
         verdict = licc_bipartite_feasible(source, target, cut=args.cut)
     return {"class": cls, "feasible": verdict.feasible,
@@ -282,6 +273,7 @@ def _build_parser() -> _Parser:
                      description="coherence resource-theory toolkit")
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
+    cut_help = "index of the party on the left of the cut (default 0)"
 
     def add_output(p):
         p.add_argument("--output", help="write to this file instead of the "
@@ -305,8 +297,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--target", required=True)
     p.add_argument("--class", dest="operation_class", required=True,
                    help="IC | SIO | PIO | LICC | LSICC | LOCC")
-    p.add_argument("--cut", type=int, default=None,
-                   help="bipartition size for LOCC, LICC (first k parties)")
+    p.add_argument("--cut", type=int, default=None, help=cut_help)
     add_output(p)
     p.set_defaults(fn=_cmd_feasible)
 
@@ -314,7 +305,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--kind", choices=("accessible", "source"), required=True)
     p.add_argument("--class", dest="operation_class", default="IC")
     p.add_argument("--state", required=True)
-    p.add_argument("--cut", type=int, default=None)
+    p.add_argument("--cut", type=int, default=None, help=cut_help)
     add_output(p)
     p.set_defaults(fn=_cmd_monotone)
 
@@ -325,7 +316,7 @@ def _build_parser() -> _Parser:
                    default="source")
     p.add_argument("--class", dest="operation_class", default="IC")
     p.add_argument("--state", required=True)
-    p.add_argument("--cut", type=int, default=None)
+    p.add_argument("--cut", type=int, default=None, help=cut_help)
     p.add_argument("--region", default=None,
                    help="simplex-sorted | coordinate-plane | bloch-disc | "
                         "bloch-half-disc")

@@ -92,7 +92,8 @@ def majorization_verdict(y, x, slack: float = SLACK) -> FeasibilityVerdict:
     xv = np.sort(np.asarray(x, dtype=float).ravel())[::-1]
     yv = np.sort(np.asarray(y, dtype=float).ravel())[::-1]
     for name, v in (("x", xv), ("y", yv)):
-        if v.size == 0 or abs(v.sum() - 1.0) > 1e-8 or v.min() < -1e-8:
+        # NaN and inf entries fail these comparisons
+        if not (v.size and abs(v.sum() - 1.0) <= 1e-8 and v.min() >= -1e-8):
             raise ValueError(f"{name} is not a normalized probability vector")
     length = max(xv.size, yv.size)
     cx, cy = (np.cumsum(np.pad(v, (0, length - v.size))) for v in (xv, yv))
@@ -105,12 +106,13 @@ def ic_pure_feasible(psi: PureState, phi: PureState) -> FeasibilityVerdict:
     incoherent (or strictly incoherent) channel?
 
     Holds iff the dephased spectrum of the *target* majorizes that of
-    the source.
+    the source.  Either both arguments are pure states, or both are
+    spectra, each read as itself.
     """
-    if psi.dim != phi.dim:
-        raise ValueError("states live on different total dimensions")
-    return majorization_verdict(
-        *(_select_spectrum(s, "IC") for s in (phi, psi)))
+    spectra = [_select_spectrum(s, "IC") for s in (phi, psi)]
+    if spectra[0].size != spectra[1].size:
+        raise ValueError("spectra live on different total dimensions")
+    return majorization_verdict(*spectra)
 
 
 def locc_pure_feasible(psi: PureState, phi: PureState, cut=None) -> FeasibilityVerdict:

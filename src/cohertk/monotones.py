@@ -547,10 +547,11 @@ _FULL_DISC = ((Arc((0.0, 0.0), 1.0, 1.0, -0.5 * math.pi, 0.5 * math.pi),
 
 
 def _turned(loop) -> tuple:
-    """A boundary loop turned by pi about the origin, piece by piece."""
+    """A boundary loop turned by pi about the origin, piece by piece; an
+    arc's centre turns as ``0 - c``, which keeps an origin centre +0.0."""
     return tuple(Segment((-p.start[0], -p.start[1]), (-p.end[0], -p.end[1]))
                  if isinstance(p, Segment) else
-                 Arc((-p.center[0], -p.center[1]), p.rx, p.ry,
+                 Arc((0.0 - p.center[0], 0.0 - p.center[1]), p.rx, p.ry,
                      p.theta0 + math.pi, p.theta1 + math.pi)
                  for p in loop)
 
@@ -559,13 +560,9 @@ def _sio_accessible_geometry(t: float, z: float) -> tuple:
     az = abs(z)
     rx = t / math.sqrt(1.0 - az * az) if az < 1.0 else 0.0
     theta = math.acos(min(1.0, math.sqrt(max(0.0, 1.0 - az * az))))
-    loop = (
-        Segment((t, -az), (t, az)),
-        Arc((0.0, 0.0), rx, 1.0, theta, math.pi - theta),
-        Segment((-t, az), (-t, -az)),
-        Arc((0.0, 0.0), rx, 1.0, math.pi + theta, 2.0 * math.pi - theta),
-    )
-    return (loop,)
+    upper = (Segment((t, -az), (t, az)),
+             Arc((0.0, 0.0), rx, 1.0, theta, math.pi - theta))
+    return (upper + _turned(upper),)
 
 
 def _sio_source_geometry(t: float, z: float) -> tuple:
@@ -631,17 +628,7 @@ def _pio_source_geometry(t: float, z: float) -> tuple:
         Segment((t, -line_meet), (t, -h)),
         Arc((0.0, 0.0), 1.0, 1.0, -theta_h, -theta_star),
     )
-    top_left = (
-        Segment((-t, line_meet), (-t, h)),
-        Arc((0.0, 0.0), 1.0, 1.0, math.pi - theta_h, math.pi - theta_star),
-        Segment((-x_star, z_star), (-t, line_meet)),
-    )
-    bottom_left = (
-        Arc((0.0, 0.0), 1.0, 1.0, math.pi + theta_star, math.pi + theta_h),
-        Segment((-t, -h), (-t, -line_meet)),
-        Segment((-t, -line_meet), (-x_star, -z_star)),
-    )
-    return (top_right, bottom_right, top_left, bottom_left)
+    return (top_right, bottom_right, _turned(bottom_right), _turned(top_right))
 
 
 #: Each qubit form by its suite name: kind, class label, area kernel over

@@ -172,10 +172,7 @@ def dephased_spectrum(state: PureState) -> np.ndarray:
     This is the spectrum of the state after erasing all off-diagonal
     entries in the reference basis.
     """
-    probs = np.abs(state.amps) ** 2
-    out = np.sort(probs)[::-1].copy()
-    out.setflags(write=False)
-    return out
+    return sorted_spectrum(np.abs(state.amps) ** 2)
 
 
 @dataclass(frozen=True)

@@ -581,6 +581,16 @@ def test_verify_slicc_witness_rejects_wrong_target():
         verify_slicc_witness(psi, psi, [np.eye(2)])
 
 
+def test_verify_slicc_witness_rejects_an_image_it_cannot_measure():
+    # an infinite weight on a row psi does not occupy makes the forward
+    # image NaN (0 * inf), while the inverse (weight 0 there) maps psi
+    # back exactly; a NaN fidelity is no proof, whichever image has it
+    psi = PureState((2, 2), [0.0, 0.0, 1.0, 0.0])
+    with np.errstate(invalid="ignore"):
+        assert not verify_slicc_witness(
+            psi, psi, [np.diag([np.inf, 1.0]), np.eye(2)])
+
+
 def _canonical_pair(invariant):
     alpha = 1.0 / math.sqrt(3.0 + abs(invariant) ** 2)
     return alpha, invariant * alpha

@@ -209,6 +209,27 @@ def test_feasible_ic_and_locc_pure_states(tmp_path, capsys, bell):
     assert payload["feasible"] is True
 
 
+def test_cut_names_the_one_party_on_the_left(tmp_path, capsys):
+    # |0> (|00> + |11>)/sqrt 2 is a product across {0}|{1,2}, so |000>
+    # reaches it under LOCC at --cut 0, but across {1}|{0,2} its Schmidt
+    # vector is (1/2, 1/2) and |000> cannot reach it at --cut 1
+    zeros = write_json(tmp_path, "zeros.json",
+                       {"dims": [2, 2, 2],
+                        "amps": [[1.0, 0.0]] + [[0.0, 0.0]] * 7})
+    amps = [[0.0, 0.0]] * 8
+    amps[0b000] = amps[0b011] = [R2, 0.0]
+    pair = write_json(tmp_path, "pair.json", {"dims": [2, 2, 2], "amps": amps})
+    argv = ["feasible", "--class", "LOCC", "--source", zeros, "--target", pair]
+    assert run_json(capsys, *argv, "--cut", "0")["feasible"] is True
+    assert run_json(capsys, *argv)["feasible"] is True
+    assert run_json(capsys, *argv, "--cut", "1")["feasible"] is False
+    for command in ("feasible", "monotone", "volume"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert ("--cut CUT index of the party on the left of the cut "
+                "(default 0)") in " ".join(capsys.readouterr().out.split())
+
+
 def test_feasible_licc_reads_the_cut_and_ic_ignores_it(tmp_path, capsys,
                                                        bell):
     argv = ["feasible", "--source", bell, "--target", bell]

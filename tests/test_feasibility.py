@@ -67,6 +67,22 @@ def test_majorization_verdict_diagnostics():
         majorization_verdict([0.5, 0.5], [1.2, -0.2])
 
 
+@pytest.mark.parametrize("bad", [[math.nan, 0.5], [0.5, 0.5, math.nan],
+                                 [math.inf, 0.5], [1.0, -math.inf]],
+                         ids=["nan", "trailing-nan", "inf", "minus-inf"])
+@pytest.mark.parametrize("side", ["x", "y"])
+def test_majorization_rejects_non_finite_entries(bad, side):
+    # a NaN sum or minimum fails no "greater than" test, so the check must
+    # be written to accept only what compares as normalized
+    good = [0.5, 0.5]
+    y, x = (good, bad) if side == "x" else (bad, good)
+    with pytest.raises(ValueError, match=f"{side} is not a normalized "
+                                         "probability vector"):
+        majorization_verdict(y, x)
+    with pytest.raises(ValueError, match="not a normalized"):
+        majorizes(y, x)
+
+
 def test_ic_pure_feasible_direction():
     uniform = PureState((4,), np.full(4, 0.5))
     basis = PureState((4,), [1, 0, 0, 0])

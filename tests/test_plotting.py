@@ -3,6 +3,7 @@
 import json
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
@@ -147,3 +148,48 @@ def test_boundary_csv_layout():
     assert set(kinds) == {"accessible", "source"}
     # regions appear in sorted order, grouped
     assert kinds == sorted(kinds)
+
+
+# ---------------------------------------------------------------------------
+# symmetry of the qubit regions
+
+
+#: Bloch vectors through every branch of the qubit boundaries, each with
+#: the number of loops of the PIO source region: the z axis (the full
+#: disc), the cap (k = (1 - |z|)/t >= 1, two loops), the sliver (k < 1,
+#: four loops), a pure state and a vector off the x-z plane.
+SYMMETRY_CASES = {
+    "centre": ((0.0, 0.0, 0.0), 1),
+    "z-axis": ((0.0, 0.0, 0.5), 1),
+    "equator": ((0.7, 0.0, 0.0), 2),
+    "cap": ((0.3, 0.0, 0.4), 2),
+    "cap-below": ((0.5, 0.0, -0.2), 2),
+    "sliver": ((0.8, 0.0, 0.4), 4),
+    "sliver-below": ((0.6, 0.0, -0.6), 4),
+    "sliver-thin": ((0.3, 0.0, 0.85), 4),
+    "pure": ((0.6, 0.0, 0.8), 0),
+    "off-plane": ((0.3, 0.4, -0.5), 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYMMETRY_CASES))
+@pytest.mark.parametrize("figure", ["qubit-sio", "qubit-pio"])
+def test_qubit_region_boundaries_are_symmetric(figure, name):
+    # every region is mirror symmetric in x and in z, however its halves
+    # are built, so each sampled boundary point has a mirror image among
+    # the samples of the same region
+    bloch, pio_source_loops = SYMMETRY_CASES[name]
+    regions = figure_regions(figure, QubitBloch(*bloch))
+    if figure == "qubit-pio":
+        assert len(regions["source"].components) == pio_source_loops
+    svg_figure(figure, regions, {})  # every loop connects and closes
+    rows = [line.split(",") for line in
+            boundary_csv(regions).strip().split("\n")[1:]]
+    for kind in ("accessible", "source"):
+        points = np.array([(float(x), float(y)) for region, _, x, y in rows
+                           if region == kind]).reshape(-1, 2)
+        for mirror in ((-1.0, 1.0), (1.0, -1.0)):
+            gaps = np.linalg.norm(points[:, None] - (points * mirror)[None],
+                                  axis=2)
+            assert (gaps.min(axis=1, initial=np.inf) <= 1e-9).all(), (
+                kind, mirror)
