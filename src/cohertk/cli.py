@@ -12,7 +12,7 @@ Usage
             --state r.json --samples 1000000 [--seed N]
     cohertk check --suite monotonicity --monotone sio-Ca --class SIO \
             --trials 10000
-    cohertk check --suite identity --dims 2,3,4  (lengths 1..8)
+    cohertk check --suite identity --dims 2,3,4  (lengths 1..9)
     cohertk plot --figure qutrit --state phi.json [--format svg|csv]
     cohertk counterexample [--step 0.05]
 

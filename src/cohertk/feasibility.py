@@ -97,6 +97,7 @@ def majorization_verdict(y, x, slack: float = SLACK) -> FeasibilityVerdict:
             raise ValueError(f"{name} is not a normalized probability vector")
     length = max(xv.size, yv.size)
     cx, cy = (np.cumsum(np.pad(v, (0, length - v.size))) for v in (xv, yv))
+    cx[-1] = cy[-1]  # both totals passed the check above: the total row is tight
     return _verdict(zip((f"partial-sum {k}" for k in range(1, length + 1)),
                         cx, cy), slack)
 

@@ -556,6 +556,16 @@ def _turned(loop) -> tuple:
                  for p in loop)
 
 
+def _strip_side_loops(t: float, az: float, h: float, *inner) -> tuple:
+    """A source loop right of the strip |x| < t, with its turned copy: down
+    x = t from (t, h) to (t, az), through the ``inner`` pieces to (t, -az),
+    on to (t, -h), and back along the unit circle."""
+    theta_h = math.atan2(h, t)
+    right = (Segment((t, h), (t, az)), *inner, Segment((t, -az), (t, -h)),
+             Arc((0.0, 0.0), 1.0, 1.0, -theta_h, theta_h))
+    return (right, _turned(right))
+
+
 def _sio_accessible_geometry(t: float, z: float) -> tuple:
     az = abs(z)
     rx = t / math.sqrt(1.0 - az * az) if az < 1.0 else 0.0
@@ -570,23 +580,18 @@ def _sio_source_geometry(t: float, z: float) -> tuple:
         return _FULL_DISC
     az = abs(z)
     h = math.sqrt(max(0.0, 1.0 - t * t))
-    theta_h = math.atan2(h, t)
     if _on_pure_boundary(t, z):
+        theta_h = math.atan2(h, t)
         right = (
             Segment((t, h), (t, -h)),
             Arc((0.0, 0.0), 1.0, 1.0, -theta_h, theta_h),
         )
         return (right, _turned(right))
     rx = t / math.sqrt(1.0 - az * az)
-    # ellipse parameter of the strip corner (t, +/-az)
+    # ellipse parameter of the strip corner (t, +/-az); the arc bulges
+    # through (rx, 0)
     phi = math.acos(min(1.0, t / rx)) if rx > 0 else 0.5 * math.pi
-    right = (
-        Segment((t, h), (t, az)),
-        Arc((0.0, 0.0), rx, 1.0, phi, -phi),       # bulge through (rx, 0)
-        Segment((t, -az), (t, -h)),
-        Arc((0.0, 0.0), 1.0, 1.0, -theta_h, theta_h),
-    )
-    return (right, _turned(right))
+    return _strip_side_loops(t, az, h, Arc((0.0, 0.0), rx, 1.0, phi, -phi))
 
 
 def _pio_accessible_geometry(t: float, z: float) -> tuple:
@@ -600,18 +605,12 @@ def _pio_source_geometry(t: float, z: float) -> tuple:
         return _FULL_DISC
     az = abs(z)
     h = math.sqrt(max(0.0, 1.0 - t * t))
-    theta_h = math.atan2(h, t)
     k = (1.0 - az) / t
     if k >= 1.0:
         apex = 1.0 / k
-        right = (
-            Segment((t, h), (t, az)),
-            Segment((t, az), (apex, 0.0)),
-            Segment((apex, 0.0), (t, -az)),
-            Segment((t, -az), (t, -h)),
-            Arc((0.0, 0.0), 1.0, 1.0, -theta_h, theta_h),
-        )
-        return (right, _turned(right))
+        return _strip_side_loops(t, az, h, Segment((t, az), (apex, 0.0)),
+                                 Segment((apex, 0.0), (t, -az)))
+    theta_h = math.atan2(h, t)
     x_star = 2.0 * k / (1.0 + k * k)
     if t >= x_star:
         return ()

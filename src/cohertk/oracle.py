@@ -24,9 +24,9 @@ from .channels import (_apply_kraus, _check_kraus, _random_kraus,
                        _random_permutations, _random_unit_vectors,
                        apply_to_density, apply_to_pure, random_channel)
 from .feasibility import _QUBIT_FAMILY, pio_feasible_mask, sio_feasible_mask
-from .monotones import (_QUBIT_FORM_NAMES, _permutation_sums, _qubit_monotone,
-                        qubit_pio_Ca, qubit_pio_Cs, qubit_sio_Ca, qubit_sio_Cs,
-                        source_coherence_closed, sup_source_volume)
+from .monotones import (_QUBIT_FORM_NAMES, MAX_SPECTRUM_LEN, _permutation_sums,
+                        _qubit_monotone, qubit_pio_Ca, qubit_pio_Cs, qubit_sio_Ca,
+                        qubit_sio_Cs, source_coherence_closed, sup_source_volume)
 from .states import (AMP_TOL, PureState, QubitBloch, product_term_count,
                      sorted_spectrum)
 
@@ -62,9 +62,6 @@ SHARD_SIZE = 100_000
 _SIMPLEX_BLOCK = 16_384
 
 _MONOTONICITY_TOL = 1e-8
-
-#: Longest spectrum exact_polytope_volume (and so the identity check) takes.
-_MAX_EXACT_LEN = 8
 
 #: Most points a 4-D counterexample grid may have (19**4 at the default
 #: step); checked before the grid is allocated.
@@ -271,12 +268,17 @@ def qubit_region_predicate(r, operation_class: str, kind: str):
     return predicate
 
 
-def _partial_sum_predicate(bounds, kind: str, slack: float):
-    """Vectorized test of each point's running partial sums against
-    ``bounds``: source points have partial sums at most the spectrum's,
-    accessible points at least.  The sums run column by column (the
-    additions of ``np.cumsum(axis=1)``, in its order) rather than
-    reducing along the short row axis."""
+def sorted_simplex_predicate(spectrum, kind: str, slack: float = 1e-10):
+    """Majorization test against a fixed sorted spectrum, vectorized
+    over sorted-simplex sample points.
+
+    Source points are majorized by the spectrum (all partial sums
+    below); accessible points majorize it.  The d - 1 sums short of the
+    total are tested: a sample's float total may round off 1.  The sums
+    run column by column (the additions of ``np.cumsum(axis=1)``, in its
+    order) rather than reducing along the short row axis.
+    """
+    bounds = np.cumsum(sorted_spectrum(spectrum))[:-1]
     rules = {"source": (np.less_equal, slack),
              "accessible": (np.greater_equal, -slack)}
     if kind not in rules:
@@ -292,26 +294,14 @@ def _partial_sum_predicate(bounds, kind: str, slack: float):
     return predicate
 
 
-def sorted_simplex_predicate(spectrum, kind: str, slack: float = 1e-10):
-    """Majorization test against a fixed sorted spectrum, vectorized
-    over sorted-simplex sample points.
-
-    Source points are majorized by the spectrum (all partial sums
-    below); accessible points majorize it.  The d - 1 sums short of the
-    total are tested: a sample's float total may round off 1.
-    """
-    return _partial_sum_predicate(np.cumsum(sorted_spectrum(spectrum))[:-1],
-                                  kind, slack)
-
-
 def coordinate_plane_predicate(spectrum, kind: str, slack: float = 1e-10):
     """Coordinate-ordered partial-sum test for the planar qutrit
     family: x1 against a and x1 + x2 against a + b, in the unsorted
-    coordinate plane."""
+    coordinate plane: the sorted-simplex test of a length-3 spectrum."""
     lam = sorted_spectrum(spectrum)
     if len(lam) != 3:
         raise ValueError("coordinate-plane predicate needs a length-3 spectrum")
-    return _partial_sum_predicate(np.cumsum(lam)[:2], kind, slack)
+    return sorted_simplex_predicate(lam, kind, slack)
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +398,7 @@ def exact_polytope_volume(spectrum) -> float:
     of mu <= those of lam}, measured inside the simplex hyperplane
     (metric factor sqrt(d) over the first d-1 coordinates).  Zero
     entries are kept — the ambient dimension is part of the input.
-    Supports lengths up to _MAX_EXACT_LEN; length 1 returns 1.0 by convention.
+    Supports lengths up to MAX_SPECTRUM_LEN; length 1 returns 1.0 by convention.
 
     Its vertices are the averages of lam over its splits into
     consecutive blocks.  Proof: call k tight at mu when the partial sums
@@ -433,9 +423,9 @@ def exact_polytope_volume(spectrum) -> float:
         raise ValueError(
             "spectrum must be a nonempty flat list of finite numbers")
     lam = [Fraction(x) for x in arr]
-    if len(lam) > _MAX_EXACT_LEN:
+    if len(lam) > MAX_SPECTRUM_LEN:
         raise ValueError("exact volumes are implemented for lengths "
-                         f"<= {_MAX_EXACT_LEN}")
+                         f"<= {MAX_SPECTRUM_LEN}")
     if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)) or lam[-1] < 0:
         raise ValueError("spectrum must be sorted nonincreasing and nonnegative")
     if abs(float(sum(lam)) - 1.0) > 1e-8:
@@ -459,20 +449,18 @@ def formula_identity_check(count: int = 100, dims=(2, 3, 4),
     """For ``count`` random strictly positive sorted spectra in each
     dimension, compare sup-volume times the signed permutation sum
     against :func:`exact_polytope_volume` and report the largest
-    absolute difference.  Blocks of spectra give the draws, totals and
-    closed values of one spectrum at a time, bit for bit."""
+    absolute difference.  Blocks from the sorted-simplex sampler give the
+    draws, totals and closed values of one spectrum at a time, bit for bit."""
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
-    if not all(1 <= d <= _MAX_EXACT_LEN for d in dims):
-        raise ValueError(f"dims must lie in 1..{_MAX_EXACT_LEN}, "
+    if not all(1 <= d <= MAX_SPECTRUM_LEN for d in dims):
+        raise ValueError(f"dims must lie in 1..{MAX_SPECTRUM_LEN}, "
                          f"got {tuple(dims)}")
     rng = np.random.default_rng(seed)
     worst = 0.0
     for d in dims:
         for start in range(0, count, _TRIAL_BLOCK):
-            lam = rng.standard_exponential((min(_TRIAL_BLOCK, count - start), d))
-            lam /= lam.sum(axis=1, keepdims=True)
-            lam = np.sort(lam, axis=1)[:, ::-1]
+            lam = _sample_sorted_simplex(d)(rng, min(_TRIAL_BLOCK, count - start))
             closed = sup_source_volume(d) * _permutation_sums(lam)
             for row, value in zip(lam, closed.tolist()):
                 worst = max(worst, abs(value - exact_polytope_volume(row)))

@@ -12,7 +12,7 @@ import json
 import math
 
 from .feasibility import _as_bloch, _select_spectrum
-from .monotones import Arc, RegionGeometry, Segment
+from .monotones import Arc, RegionGeometry, Segment, region_geometry
 from .serialize import round_floats
 
 __all__ = ["svg_figure", "boundary_csv", "figure_regions"]
@@ -35,7 +35,7 @@ _FIGURE_CLASSES = {"qubit-sio": "SIO", "qubit-pio": "PIO",
 
 
 def _fmt(x: float) -> str:
-    return f"{x:.12g}"
+    return f"{x + 0.0:.12g}"  # -0.0 + 0.0 is +0.0
 
 
 class _Projection:
@@ -188,8 +188,6 @@ def figure_regions(figure: str, subject) -> dict:
     single-qubit state), ``qutrit`` (subject: pure state or length-3
     spectrum), ``two-level`` (subject: state or length-2 spectrum).
     """
-    from .monotones import region_geometry
-
     subject = _figure_subject(figure, subject)
     return {kind: region_geometry(subject, _FIGURE_CLASSES[figure], kind)
             for kind in ("accessible", "source")}

@@ -85,7 +85,7 @@ def round_floats(obj):
         value = float(obj)
         if not math.isfinite(value):
             return None
-        return float(f"{value:.{SIG_DIGITS}g}")
+        return float(f"{value:.{SIG_DIGITS}g}") + 0.0  # -0.0 + 0.0 is +0.0
     return obj
 
 

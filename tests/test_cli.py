@@ -275,6 +275,17 @@ def test_feasible_decides_two_spectra_by_majorization(tmp_path, capsys, cls):
 
 
 @pytest.mark.parametrize("cls", ["IC", "SIO"])
+def test_feasible_spectra_whose_totals_round_apart(tmp_path, capsys, cls):
+    # both totals pass the normalization check, so the total row is tight
+    source = write_json(tmp_path, "source.json",
+                        {"spectrum": [0.5000000005, 0.5]})
+    target = write_json(tmp_path, "target.json", {"spectrum": [1.0, 0.0]})
+    assert run_json(capsys, "feasible", "--class", cls, "--source", source,
+                    "--target", target) == {
+        "class": cls, "feasible": True, "binding": ["partial-sum 2: tight"]}
+
+
+@pytest.mark.parametrize("cls", ["IC", "SIO"])
 def test_feasible_rejects_spectra_of_different_lengths(tmp_path, capsys, cls):
     # as for two pure states: no zero padding of the shorter spectrum
     pair = write_json(tmp_path, "pair.json", {"spectrum": [0.5, 0.5]})
@@ -472,6 +483,18 @@ def test_volume_exact_reaches_length_8(tmp_path, capsys):
                               "--state", path)["volume"]
                      for method in ("closed", "exact"))
     assert exact == pytest.approx(closed, rel=1e-9, abs=0)
+
+
+def test_exact_volumes_reach_length_9(tmp_path, capsys):
+    spectrum = [k / 64 for k in (20, 12, 9, 7, 6, 4, 3, 2, 1)]
+    path = write_json(tmp_path, "spec.json", {"spectrum": spectrum})
+    closed, exact = (run_json(capsys, "volume", "--method", method,
+                              "--state", path)["volume"]
+                     for method in ("closed", "exact"))
+    assert exact == pytest.approx(closed, rel=1e-9, abs=0)
+    report = run_json(capsys, "check", "--suite", "identity", "--dims", "9",
+                      "--count", "2")
+    assert report["dims"] == [9] and report["max_abs_difference"] < 1e-20
 
 
 def test_volume_exact_rejects_accessible_kind(tmp_path, capsys):
@@ -874,11 +897,11 @@ def test_reused_parser_carries_nothing_between_calls(tmp_path, capsys,
     ["check", "--suite", "identity", "--dims", "200", "--count", "1"],
     ["check", "--suite", "identity", "--dims", "2,100000000", "--count", "1"],
     ["check", "--suite", "identity", "--dims", "0", "--count", "1"],
-    ["check", "--suite", "identity", "--dims", "9", "--count", "1"],
+    ["check", "--suite", "identity", "--dims", "10", "--count", "1"],
     ["check", "--suite", "identity", "--dims", "2,x", "--count", "1"],
     ["check", "--suite", "identity", "--dims", "", "--count", "1"],
-    # exact volumes stop at length 8
-    ["volume", "--method", "exact", "--state", "NINE"],
+    # exact volumes stop at length 9
+    ["volume", "--method", "exact", "--state", "TEN"],
 ])
 def test_out_of_range_input_exits_1(tmp_path, capsys, argv):
     # dumps would write NaN as null, so the file is written by hand
@@ -892,8 +915,8 @@ def test_out_of_range_input_exits_1(tmp_path, capsys, argv):
         "LONG": write_json(tmp_path, "long.json",
                            {"spectrum": [0.5, 0.5] + [0.0] * 198}),
         "FLAT": write_json(tmp_path, "flat.json", {"spectrum": [0.005] * 200}),
-        "NINE": write_json(tmp_path, "nine.json",
-                           {"spectrum": [0.2] + [0.1] * 8}),
+        "TEN": write_json(tmp_path, "ten.json",
+                          {"spectrum": [0.2] + [0.1] * 7 + [0.05] * 2}),
         "BELL": write_json(tmp_path, "bell.json",
                            {"dims": [2, 2], "amps": [[R2, 0.0], [0.0, 0.0],
                                                      [0.0, 0.0], [R2, 0.0]]}),

@@ -67,6 +67,17 @@ def test_majorization_verdict_diagnostics():
         majorization_verdict([0.5, 0.5], [1.2, -0.2])
 
 
+def test_majorization_verdict_does_not_test_a_rounded_total():
+    # both totals pass the 1e-8 normalization check; the total row, 5e-10
+    # apart here, is reported tight rather than tested against the slack
+    verdict = majorization_verdict([1.0], [0.5000000005, 0.5])
+    check_verdict(verdict, True)
+    assert verdict.binding == ("partial-sum 2: tight",)
+    assert majorizes([1.0], [0.5000000005, 0.5])
+    # a partial sum short of the total is still tested
+    check_verdict(majorization_verdict([0.5000000005, 0.5], [1.0]), False)
+
+
 @pytest.mark.parametrize("bad", [[math.nan, 0.5], [0.5, 0.5, math.nan],
                                  [math.inf, 0.5], [1.0, -math.inf]],
                          ids=["nan", "trailing-nan", "inf", "minus-inf"])

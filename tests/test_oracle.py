@@ -63,7 +63,7 @@ def test_exact_polytope_volume_pinned_values():
 
 def test_exact_polytope_volume_input_validation():
     with pytest.raises(ValueError, match="lengths"):
-        exact_polytope_volume(np.full(9, 1 / 9))
+        exact_polytope_volume(np.full(10, 1 / 10))
     with pytest.raises(ValueError, match="sorted nonincreasing"):
         exact_polytope_volume([0.4, 0.6])
     with pytest.raises(ValueError, match="sum to 1"):
@@ -90,13 +90,16 @@ def test_exact_polytope_volume_lengths_5_and_6(sixteenths):
 
 def test_exact_polytope_volume_length_7_is_the_permutation_sum():
     # dyadic entries are exact as floats, so the oracle's rational volume,
-    # over the measure of the sorted simplex, is the exact permutation sum
-    lam = [Fraction(k, 32) for k in (11, 7, 5, 4, 2, 2, 1)]
-    volume = oracle._projected_volume(lam)
-    assert volume * math.factorial(7) * math.factorial(6) \
-        == permutation_sum_fraction(lam)
-    assert exact_polytope_volume([float(x) for x in lam]) \
-        == float(volume) * RT(7)
+    # over the measure of the sorted simplex, is the exact permutation sum;
+    # a second case at length 9, the longest served
+    for lam in ([Fraction(k, 32) for k in (11, 7, 5, 4, 2, 2, 1)],
+                [Fraction(k, 64) for k in (20, 12, 9, 7, 6, 4, 3, 2, 1)]):
+        d = len(lam)
+        volume = oracle._projected_volume(lam)
+        assert volume * math.factorial(d) * math.factorial(d - 1) \
+            == permutation_sum_fraction(lam)
+        assert exact_polytope_volume([float(x) for x in lam]) \
+            == float(volume) * RT(d)
 
 
 # the volumes the generic vertex search gave, bit for bit
@@ -213,6 +216,14 @@ def test_closed_form_matches_exact_volume():
 def test_closed_form_matches_exact_volume_at_lengths_5_and_6():
     report = formula_identity_check(count=2, dims=(5, 6))
     assert report.max_abs_difference <= 1e-9
+
+
+def test_closed_form_matches_exact_volume_at_length_9():
+    # volumes at length 9 are below 1e-9, so the gap is read against the
+    # sorted simplex's measure: the permutation sums agree to 1e-12
+    report = formula_identity_check(count=20, dims=(9,))
+    assert report.dims == (9,)
+    assert report.max_abs_difference <= 1e-12 * sup_source_volume(9)
 
 
 @pytest.mark.parametrize("count, dims, seed", [

@@ -150,6 +150,15 @@ def test_boundary_csv_layout():
     assert kinds == sorted(kinds)
 
 
+@pytest.mark.parametrize("figure", ["qubit-sio", "qubit-pio"])
+def test_qubit_csv_has_no_negative_zero(figure):
+    # at z = 0 the turned halves and the lower heights are -0.0 in floats
+    for x in (0.0, 0.5, -0.3, 1.0):
+        text = boundary_csv(figure_regions(figure, QubitBloch(x, 0.0, 0.0)))
+        fields = [field for line in text.split("\n") for field in line.split(",")]
+        assert "-0" not in fields and "0" in fields, x
+
+
 # ---------------------------------------------------------------------------
 # symmetry of the qubit regions
 

@@ -55,6 +55,12 @@ def test_round_floats_handles_structured_inputs():
     }
 
 
+def test_negative_zero_is_written_as_zero():
+    assert dumps(-0.0) == "0.0\n"
+    assert math.copysign(1.0, round_floats(np.float64(-0.0))) == 1.0
+    assert dumps([-0.0, complex(-0.0, -0.0)]) == dumps([0.0, [0.0, 0.0]])
+
+
 def test_dumps_emits_strict_indented_json():
     text = dumps({"value": float("nan"), "flag": np.bool_(False)})
     assert text.endswith("\n")
