@@ -296,7 +296,7 @@ def sorted_simplex_predicate(spectrum, kind: str, slack: float = 1e-10):
 
 def coordinate_plane_predicate(spectrum, kind: str, slack: float = 1e-10):
     """Coordinate-ordered partial-sum test for the planar qutrit
-    family: x1 against a and x1 + x2 against a + b, in the unsorted
+    family, x1 against a and x1 + x2 against a + b in the unsorted
     coordinate plane: the sorted-simplex test of a length-3 spectrum."""
     lam = sorted_spectrum(spectrum)
     if len(lam) != 3:
