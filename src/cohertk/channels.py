@@ -166,19 +166,19 @@ class IncoherentChannel:
 
 def _apply_kraus(kraus, states):
     """Apply a ``(count, n_kraus, dim, dim)`` stack of Kraus sets, one
-    state per set.  Densities ``(count, dim, dim)`` give
-    ``sum_n K_n rho K_n^dag``, checked for trace (``1e-10``) and
-    positivity (``1e-9``).  Amplitudes ``(count, dim)`` give
-    ``(probs, branches, kept)``: probabilities ``|K_n psi|^2`` pruned
-    below ``1e-12`` and renormalized, and normalized branches (rows not
-    ``kept`` are meaningless)."""
+    state per set.  Densities ``(count, dim, dim)`` give ``sum_n K_n rho
+    K_n^dag``, checked for trace drift (``COMPLETENESS_TOL``, which bounds
+    the drift on a density) and positivity (``1e-9``).  Amplitudes
+    ``(count, dim)`` give ``(probs, branches, kept)``: probabilities
+    ``|K_n psi|^2`` pruned below ``1e-12`` and renormalized, and normalized
+    branches (rows not ``kept`` are meaningless)."""
     if states.ndim == 3:
         # K rho first, then the sum over operators: n d^3, not n d^4
         out = np.einsum("cnik,cnlk->cil",
                         np.einsum("cnij,cjk->cnik", kraus, states), kraus.conj())
         drift = np.abs(np.trace(out, axis1=1, axis2=2).real
                        - np.trace(states, axis1=1, axis2=2).real)
-        if not (drift <= 1e-10).all():
+        if not (drift <= COMPLETENESS_TOL).all():
             raise ValueError("channel did not preserve the trace")
         if not (np.linalg.eigvalsh(out).min(axis=1) >= -1e-9).all():
             raise ValueError("channel output is not positive semidefinite")
@@ -211,8 +211,8 @@ def apply_to_density(channel: IncoherentChannel, rho):
     """Deterministic application ``sum_n K_n rho K_n^dag``.
 
     Accepts a density matrix or a :class:`QubitBloch` (returned in the
-    same representation).  Verifies trace preservation within ``1e-10``
-    and positivity within ``1e-9``.
+    same representation).  Verifies trace preservation within ``1e-9``
+    (the completeness tolerance) and positivity within ``1e-9``.
     """
     as_bloch = isinstance(rho, QubitBloch)
     mat = density_from_bloch(rho) if as_bloch else np.asarray(rho, dtype=complex)

@@ -751,15 +751,13 @@ def lemma1_suite(trials: int, seed: int = DEFAULT_SEED) -> Lemma1Report:
 
 @dataclass(frozen=True)
 class PrintedInstance:
-    """One reference evaluation reported side by side with its
-    literature value (no equality asserted; the printed derivations are
-    ambiguous about normalization)."""
+    """One literature value next to its normalized re-evaluation (no
+    equality asserted: the re-evaluation reproduces none of the four)."""
 
     label: str
     parameters: dict
     printed_value: float
     normalized_convention: float
-    as_printed_convention: float
 
 
 @dataclass(frozen=True)
@@ -819,19 +817,6 @@ def _eigen_parts(t, z):
     return ((1.0 + w) / 2.0, t / w, z / w), ((1.0 - w) / 2.0, t / w, -z / w)
 
 
-def _printed_eigen_parts(t, z):
-    """The eigendecomposition with the eigenvectors exactly as printed:
-    unnormalized coefficients mapped to t = 2|c0 c1|, z = c0^2 - c1^2."""
-    w = math.hypot(t, z)
-    parts = []
-    for (weight, _, _), sign in zip(_eigen_parts(t, z), (1.0, -1.0)):
-        denom = t * t + z * z + sign * z * w
-        c0 = 0.5 * t * (z + sign * w) / denom
-        c1 = 0.5 * t * t / denom
-        parts.append((weight, 2.0 * abs(c0 * c1), c0 * c0 - c1 * c1))
-    return parts
-
-
 def _excess(monotone, whole, parts, *gather):
     """Weighted ``monotone`` of the parts (weight, t, z) minus ``whole``,
     the value of the whole state: positive where averaging over branches
@@ -841,13 +826,9 @@ def _excess(monotone, whole, parts, *gather):
                for w, tb, zb in parts) - whole
 
 
-#: What each literature family's gap measures, and its parts under the
-#: normalized and the as-printed convention.
-_EIGEN = ("convexity gap, eigendecomposition at t=z=0.1", _eigen_parts,
-          _printed_eigen_parts)
-_DAMPING = ("selective-measurement gap, damping channel", _damping_branches,
-            lambda **params: [(1.0, tb, zb) for _, tb, zb
-                              in _damping_branches(**params)])
+#: What each literature family's gap measures, and its weighted parts.
+_EIGEN = ("convexity gap, eigendecomposition at t=z=0.1", _eigen_parts)
+_DAMPING = ("selective-measurement gap, damping channel", _damping_branches)
 
 #: The literature instances: monotone, family, parameters, printed value.
 _PRINTED_INSTANCES = (
@@ -861,14 +842,12 @@ _PRINTED_INSTANCES = (
 
 
 def _printed_instance(name, family, params, printed):
-    """One literature instance: whole minus parts under both conventions."""
-    what, *conventions = family
+    """One literature instance: whole minus its weighted parts."""
+    what, parts = family
     monotone = _QUBIT_FORM_NAMES[name, "SIO"]
     whole = _qubit_monotone(monotone, params["t"], params["z"])
-    gaps = (-float(_excess(monotone, whole, parts(**params)))
-            for parts in conventions)
     return PrintedInstance(f"{name}-coherence {what}", dict(params), printed,
-                           *gaps)
+                           -float(_excess(monotone, whole, parts(**params))))
 
 
 def b3_b4_counterexamples(step: float = 0.05) -> CounterexampleReport:
@@ -901,9 +880,9 @@ def b3_b4_counterexamples(step: float = 0.05) -> CounterexampleReport:
     on (z, p, gamma); only their products, and the instrument branches'
     source radial factor, are valued on the full grid.
 
-    The four literature reference instances are evaluated side by side
-    under a normalized and an as-printed convention; no equality with
-    the printed constants is asserted.
+    The four literature reference instances are re-evaluated under the
+    normalized convention and reported next to their printed constants;
+    no equality is asserted (none of the four is reproduced).
     """
     if not (math.isfinite(step) and step > 0):
         raise ValueError(f"step must be positive and finite, got {step}")

@@ -12,19 +12,24 @@ import json
 import math
 
 from .feasibility import _as_bloch, _select_spectrum
-from .monotones import Arc, RegionGeometry, Segment, region_geometry
+from .monotones import (_FULL_DISC, Arc, RegionGeometry, Segment,
+                        _planar_polygon, region_geometry)
 from .serialize import round_floats
 
 __all__ = ["svg_figure", "boundary_csv", "figure_regions"]
 
 _FILL = {"accessible": "#2f6fb4", "source": "#c35039"}
 
-#: Fixed world windows per measure tag, so the projection (and thus the
-#: bytes) do not depend on the particular state.
+#: Fixed world window, domain outline and whether it closes, per measure
+#: tag, so the projection (and thus the bytes) do not depend on the state.
 _WINDOWS = {
-    "bloch-halfplane": (-1.05, 1.05, -1.05, 1.05),
-    "coordinate-plane": (-0.05, 1.05, -0.05, 1.05),
-    "sorted-representative": (-0.05, 1.05, -0.05, 1.05),
+    # the unit disc as its two half-arcs, from the top
+    "bloch-halfplane": ((-1.05, 1.05, -1.05, 1.05), _FULL_DISC[0][::-1], True),
+    "coordinate-plane": ((-0.05, 1.05, -0.05, 1.05), _planar_polygon(
+        [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])[0], True),
+    # the admissible half of the line x + y = 1
+    "sorted-representative": ((-0.05, 1.05, -0.05, 1.05),
+                              (Segment((0.5, 0.5), (1.0, 0.0)),), False),
 }
 
 _CONTINUITY_TOL = 1e-9
@@ -89,25 +94,6 @@ def _path_data(loop, proj: _Projection, closed: bool) -> str:
     return " ".join(parts)
 
 
-def _domain_outline(measure: str, proj: _Projection) -> str:
-    if measure == "bloch-halfplane":
-        top = proj.point((0.0, 1.0))
-        bottom = proj.point((0.0, -1.0))
-        r = _fmt(proj.scale)
-        return (f"M {_fmt(top[0])} {_fmt(top[1])} "
-                f"A {r} {r} 0 0 0 {_fmt(bottom[0])} {_fmt(bottom[1])} "
-                f"A {r} {r} 0 0 0 {_fmt(top[0])} {_fmt(top[1])} Z")
-    if measure == "coordinate-plane":
-        corners = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
-        pts = [proj.point(c) for c in corners]
-        inner = " ".join(f"L {_fmt(x)} {_fmt(y)}" for x, y in pts[1:])
-        return f"M {_fmt(pts[0][0])} {_fmt(pts[0][1])} {inner} Z"
-    # sorted-representative: the admissible half of the line x + y = 1
-    a = proj.point((0.5, 0.5))
-    b = proj.point((1.0, 0.0))
-    return (f"M {_fmt(a[0])} {_fmt(a[1])} L {_fmt(b[0])} {_fmt(b[1])}")
-
-
 def svg_figure(figure: str, regions: dict, metadata: dict,
                size: int = 480) -> str:
     """Render named regions to an SVG document string.
@@ -123,7 +109,8 @@ def svg_figure(figure: str, regions: dict, metadata: dict,
     measure = measures.pop()
     if measure not in _WINDOWS:
         raise ValueError(f"no drawing window for measure {measure!r}")
-    proj = _Projection(_WINDOWS[measure], size)
+    window, domain, domain_closed = _WINDOWS[measure]
+    proj = _Projection(window, size)
 
     payload = dict(metadata)
     payload["figure"] = figure
@@ -137,7 +124,7 @@ def svg_figure(figure: str, regions: dict, metadata: dict,
         f'height="{proj.height}" '
         f'viewBox="0 0 {proj.width} {proj.height}">',
         f'  <metadata id="region-data">{meta_json}</metadata>',
-        f'  <path id="domain" d="{_domain_outline(measure, proj)}" '
+        f'  <path id="domain" d="{_path_data(domain, proj, domain_closed)}" '
         f'fill="none" stroke="#9a9a9a" stroke-width="1"/>',
     ]
     for kind in sorted(regions):

@@ -97,7 +97,10 @@ def dumps(obj) -> str:
 
 def load_json(path):
     with open(path, encoding="utf-8") as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except RecursionError as exc:
+            raise ValueError(f"{path}: JSON nests too deeply") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +163,8 @@ def spectrum_from_dict(obj: dict) -> np.ndarray:
 def subject_from_dict(obj: dict):
     """Dispatch a JSON object to PureState, QubitBloch, or a bare
     spectrum array by its identifying key."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
     if "amps" in obj:
         return state_from_dict(obj)
     if "bloch" in obj:

@@ -282,14 +282,13 @@ def test_criterion_09():
     assert strict("convexity", "accessible")
     assert strict("convexity", "source")
 
-    # the literature's four printed constants, evaluated side by side
-    # under both conventions; equality is intentionally not asserted
-    print("[criterion 9] printed constants next to both re-evaluations "
+    # the literature's four printed constants, next to the weighted
+    # re-evaluation; equality is intentionally not asserted
+    print("[criterion 9] printed constants next to the re-evaluation "
           "(reported, not asserted):")
     for inst in report.printed_instances:
         print(f"  {inst.label}: printed={inst.printed_value:+.4f} "
-              f"weighted={inst.normalized_convention:+.4f} "
-              f"as-printed={inst.as_printed_convention:+.4f}")
+              f"weighted={inst.normalized_convention:+.4f}")
 
 
 @criterion(10, "single-party and maximally-correlated paths agree")

@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 
 from cohertk.channels import (
     _CLASS_ORDER,
+    COMPLETENESS_TOL,
     IncoherentChannel,
     LocalChannelProduct,
     apply_to_density,
@@ -469,3 +470,26 @@ def test_mixed_counts_keep_each_counts_distribution(tag, dim, top):
             a, b = stat(ours).astype(float), stat(theirs).astype(float)
             spread = math.sqrt((a.var() + b.var()) / a.size) or 1.0
             assert abs(a.mean() - b.mean()) <= 5 * spread, (k, a.mean(), b.mean())
+
+
+def test_apply_to_density_takes_every_channel_the_constructor_takes():
+    # a Frobenius defect of 8e-10 passes the 1e-9 completeness check, and
+    # on a density the trace drifts by at most that defect
+    channel = IncoherentChannel("SIO", [np.diag([1.0, 1.0 + 4e-10])])
+    out = apply_to_density(channel, np.diag([0.0, 1.0]))
+    assert_allclose(out, np.diag([0.0, (1.0 + 4e-10) ** 2]), rtol=0,
+                    atol=1e-16)
+    assert abs(np.trace(out).real - 1.0) <= COMPLETENESS_TOL
+    with pytest.raises(ValueError, match="completeness violated"):
+        IncoherentChannel("SIO", [np.diag([1.0, 1.0 + 6e-10])])
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: LocalChannelProduct([]), "at least one party channel"),
+    (lambda: LocalChannelProduct([np.eye(2)]), "must be an IncoherentChannel"),
+    (lambda: random_channel("SIO", 1, 1, 0), "dim >= 2 and n_kraus >= 1"),
+    (lambda: random_channel("SIO", 2, 0, 0), "dim >= 2 and n_kraus >= 1"),
+], ids=["no-party", "bare-matrix", "dim-1", "no-kraus"])
+def test_constructors_reject_what_they_cannot_build(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

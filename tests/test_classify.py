@@ -581,6 +581,26 @@ def test_verify_slicc_witness_rejects_wrong_target():
         verify_slicc_witness(psi, psi, [np.eye(2)])
 
 
+@pytest.mark.parametrize("party", [0, 1])
+def test_verify_slicc_witness_rejects_an_operator_of_the_wrong_size(party):
+    psi = PureState((2, 2), [0.6, 0.0, 0.0, 0.8])
+    ops = [np.eye(2), np.eye(2)]
+    ops[party] = np.eye(3)
+    with pytest.raises(ValueError, match=f"operator {party} has wrong dimension"):
+        verify_slicc_witness(psi, psi, ops)
+
+
+@pytest.mark.parametrize("amps, rank", [
+    ([1.0, 0.0, 0.0, 0.0], 1),
+    ([0.6, 0.0, 0.0, 0.8], 2),
+    ([0.6, 0.0, 0.64, 0.48], 3),
+], ids=["rank-1", "rank-2", "rank-3"])
+def test_invariant_pair_is_absent_below_rank_4(amps, rank):
+    label = slicc_class_2qubit(PureState((2, 2), amps))
+    assert label.rank == rank
+    assert label.invariant_r is None and label.invariant_pair is None
+
+
 def test_verify_slicc_witness_rejects_an_image_it_cannot_measure():
     # an infinite weight on a row psi does not occupy makes the forward
     # image NaN (0 * inf), while the inverse (weight 0 there) maps psi

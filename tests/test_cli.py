@@ -760,6 +760,24 @@ def test_non_integer_dims_exit_1(tmp_path, capsys):
                    "integer, got 2.5\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("5", "expected a JSON object, got int"),
+    ("null", "expected a JSON object, got NoneType"),
+    ("true", "expected a JSON object, got bool"),
+    ('"amps"', "expected a JSON object, got str"),
+    ("[1, 2]", "expected a JSON object, got list"),
+    ("[" * 100_000, "JSON nests too deeply"),
+], ids=["number", "null", "bool", "string", "list", "deep"])
+def test_json_that_is_not_an_object_exits_1(tmp_path, capsys, text, message):
+    path = tmp_path / "subject.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "monotone", "--kind", "source",
+                             "--state", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("cohertk: error: ") and err.count("\n") == 1
+    assert message in err and "Traceback" not in err
+
+
 def test_usage_errors_exit_1(capsys):
     with pytest.raises(SystemExit) as info:
         main(["volume"])  # missing required --state

@@ -483,3 +483,16 @@ def test_as_bloch_reads_pure_qubits_onto_the_sphere():
     for subject in ([0.6, 0.4], PureState((3,), [1, 0, 0])):
         with pytest.raises(ValueError, match="single-qubit state"):
             _as_bloch(subject)
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"measure": "torus"}, "unknown measure tag"),
+    ({"operation_class": "LOCC"}, "unknown operation class"),
+    ({"sup_volume": 0.0, "value": 0.0}, "sup_volume must be positive"),
+], ids=["measure", "class", "sup-volume"])
+def test_monotone_value_rejects_bad_fields(changes, message):
+    fields = {"kind": "accessible", "value": 0.5, "volume": 0.5,
+              "sup_volume": 1.0, "measure": "coordinate-plane",
+              "operation_class": "IC"}
+    with pytest.raises(ValueError, match=message):
+        MonotoneValue(**(fields | changes))

@@ -6,6 +6,7 @@ import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -877,20 +878,19 @@ def test_counterexample_report_structure(counterexample_report):
         assert len(found) == 1
         return found[0]
 
-    # the printed constants ride along verbatim, next to both
-    # re-evaluations; no equality between the columns is asserted
+    # the printed constants ride along verbatim, next to the
+    # re-evaluation; no equality between the columns is asserted
     table = {
-        ("convexity", "accessible"): (0.0994, -0.7178, -0.2494),
-        ("convexity", "source"): (0.6930, -0.6912, -0.2911),
-        ("selective", "accessible"): (-0.1912, 0.1345, -0.5000),
-        ("selective", "source"): (-0.2123, 0.1679, -0.4533),
+        ("convexity", "accessible"): (0.0994, -0.7178),
+        ("convexity", "source"): (0.6930, -0.6912),
+        ("selective", "accessible"): (-0.1912, 0.1345),
+        ("selective", "source"): (-0.2123, 0.1679),
     }
     for (condition, monotone), row in table.items():
         inst = instance(condition, monotone)
-        printed, normalized, as_printed = row
+        printed, normalized = row
         assert inst.printed_value == printed
         assert_allclose(inst.normalized_convention, normalized, atol=1e-4)
-        assert_allclose(inst.as_printed_convention, as_printed, atol=1e-4)
 
 
 def test_counterexample_grid_certifications(counterexample_report):
@@ -924,8 +924,8 @@ def test_counterexample_grid_certifications(counterexample_report):
 
 
 # count and best margin of each grid row, in report order, and the
-# (normalized, as-printed) values of the four printed instances: counts
-# must not move, and values only by rounding
+# normalized values of the four printed instances: counts must not move,
+# and values only by rounding
 _PINNED_GRID = {
     0.05: [(105412, 0.9837222101749288), (0, -0.0010858778372613218),
            (105412, 0.9985694964690244), (0, -0.0006496732199404165),
@@ -936,10 +936,8 @@ _PINNED_GRID = {
           (0, 2.220446049250313e-16), (40, 0.005810798131574146),
           (163, 0.03012958442434205), (399, 0.2887789743300515)],
 }
-_PINNED_PRINTED = [(-0.717848888442941, -0.24939949181216406),
-                   (-0.6911556739682577, -0.2910750208088586),
-                   (0.13448031498633278, -0.49997318643056876),
-                   (0.16785226850268198, -0.45333357314006795)]
+_PINNED_PRINTED = [-0.717848888442941, -0.6911556739682577,
+                   0.13448031498633278, 0.16785226850268198]
 
 
 @pytest.mark.parametrize("step", sorted(_PINNED_GRID))
@@ -948,9 +946,86 @@ def test_counterexample_numbers_are_pinned(step):
     assert [g.count for g in report.grid] == [c for c, _ in _PINNED_GRID[step]]
     assert_allclose([g.best_margin for g in report.grid],
                     [m for _, m in _PINNED_GRID[step]], rtol=0, atol=1e-12)
-    assert_allclose([(inst.normalized_convention, inst.as_printed_convention)
+    assert_allclose([inst.normalized_convention
                      for inst in report.printed_instances],
                     _PINNED_PRINTED, rtol=0, atol=1e-12)
+
+
+def _green_area_mp(geometry):
+    """Green's theorem over a region's boundary pieces, each term summed in
+    mpmath from the pieces' float coordinates and angles."""
+    area = mpmath.mpf(0)
+    for piece in (p for loop in geometry.components for p in loop):
+        if isinstance(piece, monotones.Segment):
+            (x0, y0), (x1, y1) = (map(mpmath.mpf, xy)
+                                  for xy in (piece.start, piece.end))
+            area += (x0 * y1 - y0 * x1) / 2
+        else:
+            cx, cy, rx, ry, th0, th1 = map(mpmath.mpf, (
+                *piece.center, piece.rx, piece.ry, piece.theta0, piece.theta1))
+            area += (rx * ry * (th1 - th0)
+                     + cx * ry * (mpmath.sin(th1) - mpmath.sin(th0))
+                     - cy * rx * (mpmath.cos(th1) - mpmath.cos(th0))) / 2
+    return area
+
+
+def _sio_value_mp(kind, t, z):
+    """SIO monotone ``kind`` of the Bloch state (t, 0, z), valued by
+    :func:`_green_area_mp` over ``region_geometry``, not the area kernels."""
+    area = _green_area_mp(monotones.region_geometry(
+        QubitBloch(float(t), 0.0, float(z)), "SIO", kind))
+    return area / mpmath.pi if kind == "accessible" else 1 - area / mpmath.pi
+
+
+def _branch_mp(t, z, a, b):
+    """Weight and Bloch data (w, t, z) of the branch diag(a, b) of the
+    state (t, 0, z)."""
+    up, down = a * a * (1 + z) / 2, b * b * (1 - z) / 2
+    return up + down, a * b * t / (up + down), (up - down) / (up + down)
+
+
+def _row_margin_mp(row):
+    """A grid row's best margin, rebuilt from its family's formulas."""
+    params = {k: mpmath.mpf(v) for k, v in row.best_parameters.items()
+              if k != "family"}
+    family, t, z = row.best_parameters["family"], params["t"], params["z"]
+
+    def value(tb, zb):
+        return _sio_value_mp(row.monotone, tb, zb)
+    if family == "incoherent-mixture":
+        p, g = params["p"], params["gamma"]
+        return value(p * t, p * z + (1 - p) * (2 * g - 1)) - p * value(t, z)
+    if family == "eigendecomposition":
+        r = mpmath.hypot(t, z)
+        parts = [((1 + r) / 2, t / r, z / r), ((1 - r) / 2, t / r, -z / r)]
+        return value(t, z) - sum(w * value(tb, zb) for w, tb, zb in parts)
+    if family == "damping":
+        p, keep = params["p"], mpmath.sqrt(1 - params["gamma"])
+        (w0, t0, z0), (w1, t1, z1) = (_branch_mp(t, z, 1, keep),
+                                      _branch_mp(t, z, keep, 1))
+        parts = ([(p * w0, t0, z0), ((1 - p) * w1, t1, z1)]
+                 if row.reading == "weighted" else [(1, t0, z0), (1, t1, z1)])
+    else:  # diagonal-instrument
+        a, b = params["a"], params["b"]
+        parts = [_branch_mp(t, z, a, b),
+                 _branch_mp(t, z, mpmath.sqrt(1 - a * a), mpmath.sqrt(1 - b * b))]
+    return sum(w * value(tb, zb) for w, tb, zb in parts) - value(t, z)
+
+
+def test_strict_counterexample_rows_hold_in_mpmath(counterexample_report):
+    # criterion 9 without the area kernels the scan runs: each strict row's
+    # best point, its parts rebuilt at 50 digits and every state valued by
+    # Green's theorem over its boundary pieces
+    strict = [row for row in counterexample_report.grid
+              if row.count > 0 and row.best_margin > 1e-3]
+    assert {(row.condition, row.monotone) for row in strict} == set(
+        itertools.product(("selective-measurement", "convexity"),
+                          ("accessible", "source")))
+    with mpmath.workdps(50):
+        margins = [_row_margin_mp(row) for row in strict]
+    assert all(margin > 1e-3 for margin in margins)
+    assert_allclose([float(m) for m in margins],
+                    [row.best_margin for row in strict], rtol=0, atol=1e-12)
 
 
 def test_a_tie_row_reports_zero_at_its_first_tie():

@@ -2,6 +2,7 @@
 
 import json
 import xml.etree.ElementTree as ET
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -120,6 +121,39 @@ def test_svg_input_validation():
                      Segment((1.0, 0.0), (0.0, 0.0))),))
     with pytest.raises(ValueError, match="no drawing window"):
         svg_figure("x", {"accessible": bogus}, {})
+
+
+@pytest.mark.parametrize("loop, error, message", [
+    ((Segment((0.0, 0.0), (1.0, 0.0)), Segment((0.5, 0.5), (0.0, 0.0))),
+     ValueError, "not connected"),
+    ((Segment((0.0, 0.0), (1.0, 0.0)), Segment((1.0, 0.0), (0.0, 1.0))),
+     ValueError, "does not close"),
+    # svg_figure values the region's area before it writes the path
+    ((SimpleNamespace(start=(0.0, 0.0), end=(0.0, 0.0),
+                      green_term=lambda: 0.0),),
+     TypeError, "unknown boundary piece SimpleNamespace"),
+], ids=["disconnected", "open-loop", "unknown-piece"])
+def test_svg_rejects_broken_boundaries(loop, error, message):
+    geo = RegionGeometry(measure="coordinate-plane", kind="accessible",
+                         dimension=2, components=(loop,))
+    with pytest.raises(error, match=message):
+        svg_figure("qutrit", {"accessible": geo}, {})
+
+
+@pytest.mark.parametrize("figure, subject, domain", [
+    ("qubit-sio", QubitBloch(0.5, 0.0, 0.3),
+     "M 240 11.4285714286 A 228.571428571 228.571428571 0 0 0 "
+     "240 468.571428571 A 228.571428571 228.571428571 0 0 0 "
+     "240 11.4285714286 Z"),
+    # the path writer closes a polygon with an explicit segment to its start
+    ("qutrit", (0.5, 0.3, 0.2),
+     "M 21.8181818182 458.181818182 L 458.181818182 458.181818182 "
+     "L 21.8181818182 21.8181818182 L 21.8181818182 458.181818182 Z"),
+    ("two-level", (0.7, 0.3), "M 240 240 L 458.181818182 458.181818182"),
+], ids=["bloch-halfplane", "coordinate-plane", "sorted-representative"])
+def test_svg_domain_paths_are_pinned(figure, subject, domain):
+    text = svg_figure(figure, figure_regions(figure, subject), {})
+    assert parse_svg(text)[1]["domain"].get("d") == domain
 
 
 # ---------------------------------------------------------------------------

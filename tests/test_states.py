@@ -52,6 +52,13 @@ def test_pure_state_validates_shape():
         PureState((2, 2), [1.0, 0.0])
 
 
+@pytest.mark.parametrize("amps", [[[1.0, 0.0]], [[[1.0], [0.0]]]],
+                         ids=["matrix", "three-axis"])
+def test_pure_state_rejects_amplitudes_that_are_not_a_vector(amps):
+    with pytest.raises(ValueError, match="one-dimensional vector"):
+        PureState((2,), amps)
+
+
 def test_pure_state_structure():
     state = PureState((2, 3), [RT(0.5), 0, 0, 0, RT(0.5), 0])
     assert state.dim == 6
